@@ -9,9 +9,9 @@ use std::time::{Duration, Instant};
 
 use warped_slicer::{
     accept_pruned, build_curves, execute_batch, execute_batch_observed, predict_default,
-    profile_curves, water_fill, CorunResult, IsolationResult, KernelCurve, PolicyKind,
-    ProfileSample, ResourceVec, RunConfig, SimJob, SimOutcome, SimStream, SweepPlan,
-    WarpedSlicerConfig,
+    profile_curves, sweep, water_fill, CorunResult, DuplicateDelivery, IsolationResult,
+    KernelCurve, PolicyKind, ProfileSample, ResourceVec, RunConfig, SimJob, SimOutcome, SimStream,
+    SweepPlan, WarpedSlicerConfig,
 };
 use ws_workloads::{Benchmark, Pair};
 
@@ -103,6 +103,12 @@ impl KernelSampling {
         let mut s: Vec<(u32, f64)> = self.samples.iter().map(|&(c, ipc, _)| (c, ipc)).collect();
         s.sort_by_key(|&(c, _)| c);
         s
+    }
+
+    /// Accounts one delivered result against the current round, exactly as
+    /// the core sweep does ([`sweep::deliver`]).
+    fn deliver(&mut self) -> Result<bool, DuplicateDelivery> {
+        sweep::deliver(&mut self.pending)
     }
 }
 
@@ -514,10 +520,15 @@ impl ExperimentContext {
                 }
             }
             let (round_done, was_fallback) = match slot(&mut state, pi, k) {
-                Some(s) => {
-                    s.pending = s.pending.saturating_sub(1);
-                    (s.pending == 0, s.fallback)
-                }
+                Some(s) => match s.deliver() {
+                    Ok(done) => (done, s.fallback),
+                    Err(e) => {
+                        // Checked invariant; a release build drops the
+                        // duplicate, as the core sweep does.
+                        gpu_sim::strict_assert!(false, "pair #{pi} kernel {k}: {e}");
+                        continue;
+                    }
+                },
                 None => continue,
             };
             if !round_done {
@@ -590,6 +601,19 @@ impl ExperimentContext {
 mod tests {
     use super::*;
     use ws_workloads::by_abbrev;
+
+    #[test]
+    fn duplicate_delivery_is_a_structured_error_not_a_round_completion() {
+        let mut s = KernelSampling {
+            pending: 1,
+            ..KernelSampling::default()
+        };
+        assert_eq!(s.deliver(), Ok(true), "the only result completes the round");
+        // A second delivery of the same result used to saturate at zero and
+        // report the round complete again.
+        assert_eq!(s.deliver(), Err(DuplicateDelivery));
+        assert_eq!(s.pending, 0);
+    }
 
     #[test]
     fn isolation_runs_are_memoized() {

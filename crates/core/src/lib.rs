@@ -84,7 +84,8 @@ pub use runner::{
 pub use scaling::{psi, scale_ipc, scale_ipc_audited, ScaleOutcome};
 pub use store::{CurveKey, CurveStore, KernelSignature, SharedCurveStore, StoreEntry, StoreStats};
 pub use sweep::{
-    accept_pruned, predict_default, profile_curves_planned, PlannedSweep, SweepPlan, SweepWindow,
+    accept_pruned, predict_default, profile_curves_planned, DuplicateDelivery, PlannedSweep,
+    SweepPlan, SweepWindow,
 };
 pub use tracefmt::{chrome_trace, jsonl, validate_jsonl};
 pub use waterfill::{

@@ -250,6 +250,39 @@ pub struct PlannedSweep {
     pub samples_run: usize,
 }
 
+/// A profiling result arrived for a kernel with no sampling round
+/// outstanding: some `(kernel, cap)` result was delivered twice (or one
+/// was never submitted). Counting it with a saturating decrement would
+/// report a *spurious round completion* and re-run acceptance (or re-submit
+/// a fallback) on a half-sampled round, so every sweep drain loop treats it
+/// as this error instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DuplicateDelivery;
+
+impl std::fmt::Display for DuplicateDelivery {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("duplicate delivery: sweep result arrived with no round outstanding")
+    }
+}
+
+impl std::error::Error for DuplicateDelivery {}
+
+/// Accounts one delivered result against a round's `pending` job count and
+/// returns whether that delivery completed the round.
+///
+/// # Errors
+///
+/// [`DuplicateDelivery`] when nothing is outstanding; `pending` is left
+/// unchanged. Callers fail a strict-invariant check on it and drop the
+/// duplicate in release builds.
+pub fn deliver(pending: &mut usize) -> Result<bool, DuplicateDelivery> {
+    if *pending == 0 {
+        return Err(DuplicateDelivery);
+    }
+    *pending -= 1;
+    Ok(*pending == 0)
+}
+
 /// Per-kernel bookkeeping for the pipelined sweep drain loop.
 #[derive(Debug, Default, Clone)]
 struct KernelProgress {
@@ -275,21 +308,13 @@ impl KernelProgress {
 
     /// Accounts one delivered (kernel, cap) result against the current
     /// round; returns whether that delivery completed the round. A
-    /// delivery with nothing outstanding is a double-delivery of some
-    /// (kernel, cap) result — a checked invariant, because a saturating
-    /// decrement would report it as a *spurious round completion* and
-    /// re-run acceptance (or re-submit a fallback) on a half-sampled
-    /// round. In release builds the duplicate is dropped instead.
+    /// [`DuplicateDelivery`] is a checked invariant; in release builds the
+    /// duplicate is dropped instead.
     fn deliver(&mut self) -> bool {
-        if self.pending == 0 {
-            gpu_sim::strict_assert!(
-                false,
-                "duplicate delivery: sweep result arrived with no round outstanding"
-            );
-            return false;
-        }
-        self.pending -= 1;
-        self.pending == 0
+        deliver(&mut self.pending).unwrap_or_else(|e| {
+            gpu_sim::strict_assert!(false, "{e}");
+            false
+        })
     }
 }
 

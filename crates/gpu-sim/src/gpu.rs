@@ -15,6 +15,7 @@ use crate::kernel::{KernelDesc, KernelId};
 use crate::mem::{MemResponse, MemStats, MemSubsystem};
 use crate::scheduler::SchedulerKind;
 use crate::sm::{CtaCompletion, Sm};
+use crate::stage_time::stage_timed;
 use crate::stats::StallBreakdown;
 use crate::trace::{TraceEvent, TraceSink};
 use crate::verify::{self, KernelVerifyError};
@@ -77,6 +78,10 @@ pub struct Gpu {
     /// branch, so the tick path stays allocation-free and effectively
     /// zero-cost with tracing off.
     trace: Option<TraceSink>,
+    /// Wall-clock time of the memory tick and fill application
+    /// (`stage-timing` builds only).
+    #[cfg(feature = "stage-timing")]
+    stage: crate::stage_time::StageClock,
 }
 
 /// Widest attempt-backoff (in declined `fast_forward` calls) after
@@ -106,6 +111,8 @@ impl Gpu {
             ff_backoff: 0,
             ff_cooldown: 0,
             trace: None,
+            #[cfg(feature = "stage-timing")]
+            stage: crate::stage_time::StageClock::default(),
         }
     }
 
@@ -342,30 +349,13 @@ impl Gpu {
             sm.tick(now, &mut self.mem, &self.descs, &mut self.kernel_insts);
         }
         self.resp_buf.clear();
-        self.mem.tick(now, &mut self.resp_buf);
-        // Group this cycle's fills by destination SM. Per-SM arrival order
-        // is preserved and SMs are state-independent, so batching is
-        // byte-identical to applying each response as it was drained; trace
-        // events keep the original (interleaved) response order.
-        for i in 0..self.resp_buf.len() {
-            let r = self.resp_buf[i];
-            self.fill_bufs[r.sm_id].push(r.line);
-            if let Some(t) = self.trace.as_mut() {
-                t.record(TraceEvent::MshrFill {
-                    cycle: now,
-                    sm: r.sm_id,
-                    line: r.line,
-                });
-            }
-        }
-        if !self.resp_buf.is_empty() {
-            for sm_id in 0..self.sms.len() {
-                if !self.fill_bufs[sm_id].is_empty() {
-                    self.sms[sm_id].on_fill_batch(&self.fill_bufs[sm_id], now);
-                    self.fill_bufs[sm_id].clear();
-                }
-            }
-        }
+        stage_timed!(
+            self.stage,
+            now,
+            mem_tick_ns,
+            self.mem.tick(now, &mut self.resp_buf)
+        );
+        stage_timed!(self.stage, now, fill_apply_ns, self.apply_fills(now));
         self.completion_buf.clear();
         for sm in &mut self.sms {
             sm.drain_completions_into(&mut self.completion_buf);
@@ -407,6 +397,32 @@ impl Gpu {
             // simulation ran ~5.8e11 years; overflow is corruption.
             // xtask-allow: no-unwrap
             .expect("cycle counter overflow");
+    }
+
+    /// Groups this cycle's fills by destination SM and applies them. Per-SM
+    /// arrival order is preserved and SMs are state-independent, so batching
+    /// is byte-identical to applying each response as it was drained; trace
+    /// events keep the original (interleaved) response order.
+    fn apply_fills(&mut self, now: u64) {
+        for i in 0..self.resp_buf.len() {
+            let r = self.resp_buf[i];
+            self.fill_bufs[r.sm_id].push(r.line);
+            if let Some(t) = self.trace.as_mut() {
+                t.record(TraceEvent::MshrFill {
+                    cycle: now,
+                    sm: r.sm_id,
+                    line: r.line,
+                });
+            }
+        }
+        if !self.resp_buf.is_empty() {
+            for sm_id in 0..self.sms.len() {
+                if !self.fill_bufs[sm_id].is_empty() {
+                    self.sms[sm_id].on_fill_batch(&self.fill_bufs[sm_id], now);
+                    self.fill_bufs[sm_id].clear();
+                }
+            }
+        }
     }
 
     /// Jumps the clock over a provably dead span. Every SM and the memory

@@ -60,6 +60,7 @@ pub mod program;
 pub mod rng;
 pub mod scheduler;
 pub mod sm;
+pub mod stage_time;
 pub mod stats;
 pub mod trace;
 pub mod verify;

@@ -13,6 +13,7 @@ use crate::mem::{MemRequest, MemSubsystem};
 use crate::mshr::{MshrOutcome, MshrTable, MshrWaiter};
 use crate::program::OpClass;
 use crate::scheduler::{SchedulerKind, SchedulerState};
+use crate::stage_time::stage_timed;
 use crate::stats::{SmStats, StallReason};
 use crate::warp::{Warp, WarpTable};
 
@@ -99,17 +100,14 @@ pub struct Sm {
     /// check (`None` before the first tick).
     last_tick: Option<u64>,
     /// Struct-of-arrays mirror of per-warp scheduler-visible state:
-    /// residency/finished/barrier/i-buffer/mem-pending bitmasks plus the
-    /// head instruction's readiness stamp and op class. Refreshed whenever
-    /// a warp mutates (`refresh_warp`), so the fetch/issue/horizon hot
-    /// paths intersect masks instead of chasing `Option<Warp>` pointers.
+    /// residency/finished/barrier/i-buffer/mem-pending bitmasks, op-class
+    /// masks of the decoded heads, and wake-driven RAW and fetch readiness.
+    /// Refreshed whenever a warp mutates (`refresh_warp`) and advanced once
+    /// per tick, so the fetch/issue/horizon hot paths are mask arithmetic.
     table: WarpTable,
     /// Per-scheduler ownership masks (slot `s` belongs to scheduler
     /// `s % num_schedulers`); precomputed at construction.
     sched_masks: Vec<u64>,
-    /// Fetch micro-horizon: no warp can fetch before this cycle, so the
-    /// fetch stage skips its slot walk entirely. 0 means unknown/dirty.
-    fetch_idle_until: u64,
     /// Bit `i` set while scheduler `i`'s LSU pipeline holds an op, so the
     /// LSU stage (and horizon) can skip the unit walk when idle.
     lsu_busy_mask: u64,
@@ -117,6 +115,9 @@ pub struct Sm {
     /// change (fetch/issue/LSU work, fill, launch, eviction) occurred.
     horizon: u64,
     horizon_valid: bool,
+    /// Wall-clock time per tick stage (`stage-timing` builds only).
+    #[cfg(feature = "stage-timing")]
+    stage: crate::stage_time::StageClock,
 }
 
 impl Sm {
@@ -154,10 +155,11 @@ impl Sm {
             last_tick: None,
             table: WarpTable::new(max_warps),
             sched_masks,
-            fetch_idle_until: 0,
             lsu_busy_mask: 0,
             horizon: 0,
             horizon_valid: false,
+            #[cfg(feature = "stage-timing")]
+            stage: crate::stage_time::StageClock::default(),
         }
     }
 
@@ -199,7 +201,6 @@ impl Sm {
             Some(w) => self.table.refresh(slot, w),
             None => self.table.clear(slot),
         }
-        self.fetch_idle_until = 0;
     }
 
     /// The L1 data cache (read-only view for statistics).
@@ -321,7 +322,6 @@ impl Sm {
             self.table.refresh(slot, &warp);
             self.warps[slot] = Some(warp);
         }
-        self.fetch_idle_until = 0;
         self.ctas[cta_slot] = Some(CtaRecord {
             kernel,
             cta_index,
@@ -348,7 +348,6 @@ impl Sm {
             self.warp_gens[slot] = self.warp_gens[slot].wrapping_add(1);
             self.table.clear(slot);
         }
-        self.fetch_idle_until = 0;
         let r = self.residency_mut(rec.kernel.0);
         r.0 -= 1;
         r.1 -= threads_per_cta;
@@ -456,13 +455,23 @@ impl Sm {
             );
         }
         self.last_tick = Some(now);
-        let fetched = self.fetch_stage(now, descs);
-        let issued = self.issue_stage(now, descs, kernel_insts);
-        let lsu_active = self.lsu_stage(now, mem);
+        self.table.advance(now);
+        #[cfg(feature = "stage-timing")]
+        if now.is_multiple_of(crate::stage_time::STRIDE) {
+            self.stage.0.sm_ticks += crate::stage_time::STRIDE;
+        }
+        let fetched = stage_timed!(self.stage, now, fetch_ns, self.fetch_stage(now, descs));
+        let issued = stage_timed!(
+            self.stage,
+            now,
+            issue_ns,
+            self.issue_stage(now, descs, kernel_insts)
+        );
+        let lsu_active = stage_timed!(self.stage, now, lsu_ns, self.lsu_stage(now, mem));
         if fetched || issued || lsu_active {
             self.horizon_valid = false;
         }
-        self.finalize_warps(descs);
+        stage_timed!(self.stage, now, finalize_ns, self.finalize_warps(descs));
         self.accumulate_occupancy();
         self.stats.cycles += 1;
         if crate::invariant::enabled() {
@@ -482,122 +491,98 @@ impl Sm {
         // The round-robin pointer advances whether or not anything fetched,
         // so the fast-forward bulk replay stays bit-exact.
         self.fetch_ptr = (self.fetch_ptr + 1) % n.max(1);
-        if self.table.resident_mask() == 0 {
-            return false;
-        }
-        // Micro-horizon: a failed pass records the earliest cycle any warp
-        // could fetch; until then the slot walk is provably fruitless.
-        // Invalidated (set to 0) whenever any warp state changes.
-        if self.fetch_idle_until > now {
+        // Only slots whose fetch port is open can fetch; every one of them
+        // succeeds (the port, a free i-buffer entry and unfetched body are
+        // all folded into `fetch_at`).
+        let ready = self.table.live() & self.table.fetch_ready_mask();
+        if ready == 0 {
             return false;
         }
         let fetch_latency = self.cfg.sm.fetch_latency;
         let miss_penalty = self.cfg.sm.icache_miss_penalty;
         let mut budget = self.cfg.sm.fetch_width;
-        let mut fetched = false;
-        let mut min_next = u64::MAX;
         // Round-robin over warp slots so no warp starves the shared port.
-        // Finished warps are fully fetched (fetch_at == MAX), so iterating
-        // live() visits exactly the slots the dense scan could fetch from.
         let start = (self.fetch_ptr + n - 1) % n.max(1);
-        let mut m = self.table.live().rotate_right(start as u32);
-        while m != 0 {
-            if budget == 0 {
-                break;
-            }
+        let mut m = ready.rotate_right(start as u32);
+        while m != 0 && budget > 0 {
             let slot = (start + m.trailing_zeros() as usize) & 63;
             m &= m - 1;
-            let at = self.table.fetch_at(slot);
-            if at > now {
-                min_next = min_next.min(at);
-                continue;
-            }
-            // Invariant: live() only covers occupied slots.
+            // Invariant: fetch-ready slots are occupied.
             // xtask-allow: no-unwrap
-            let warp = self.warps[slot].as_mut().expect("live slot occupied");
+            let warp = self.warps[slot].as_mut().expect("fetch-ready slot");
             if warp.fetch(now, &descs[warp.kernel.0], fetch_latency, miss_penalty) {
                 budget -= 1;
-                fetched = true;
-                self.refresh_warp(slot);
+                self.table.refresh_fetched(slot, warp);
             }
         }
-        if !fetched {
-            self.fetch_idle_until = min_next;
+        budget < self.cfg.sm.fetch_width
+    }
+
+    /// Classifies scheduler `sched_id`'s warps at cycle `now` (the table
+    /// must have been advanced to it): the slots that can issue, and the
+    /// stall charged if none does — the reason blocking the most warps,
+    /// ties broken in the paper's Fig. 1 priority order. `issue_stage` and
+    /// the fast-forward replay in `account_skip` share this one
+    /// classifier.
+    fn classify(&self, sched_id: usize, now: u64) -> (u64, StallReason) {
+        let t = &self.table;
+        crate::strict_assert!(
+            t.now() == now,
+            "SM {}: scoreboard at cycle {} classified at {now}",
+            self.id,
+            t.now()
+        );
+        let cand = t.live() & self.sched_masks[sched_id];
+        if cand == 0 {
+            return (0, StallReason::Idle);
         }
-        fetched
+        let barrier_set = cand & t.barrier_mask();
+        let rest = cand & !t.barrier_mask();
+        let fetch_set = rest & t.ib_empty_mask();
+        let decoded = rest & !t.ib_empty_mask();
+        let mem_set = decoded & t.mem_pending_mask();
+        let raw_set = decoded & t.raw_pending_mask();
+        let ready = decoded & !mem_set & !raw_set;
+        let unit = &self.units[sched_id];
+        let mut free = t.barrier_heads();
+        if unit.alu_busy_until <= now {
+            free |= t.alu_heads();
+        }
+        if unit.sfu_busy_until <= now {
+            free |= t.sfu_heads();
+        }
+        if unit.lsu.is_none() {
+            free |= t.lsu_heads();
+        }
+        let issuable = ready & free;
+        let counts = [
+            (mem_set, StallReason::LongMemoryLatency),
+            (raw_set, StallReason::ShortRawHazard),
+            (ready & !issuable, StallReason::ExecResource),
+            (fetch_set, StallReason::IbufferEmpty),
+            (barrier_set, StallReason::Barrier),
+        ];
+        // Strict comparison keeps the *first* maximum on ties.
+        let mut best = (0, StallReason::LongMemoryLatency);
+        for (set, reason) in counts {
+            if set.count_ones() > best.0 {
+                best = (set.count_ones(), reason);
+            }
+        }
+        (issuable, best.1)
     }
 
     fn issue_stage(&mut self, now: u64, descs: &[KernelDesc], kernel_insts: &mut [u64]) -> bool {
         let mut any_issued = false;
         for sched_id in 0..self.schedulers.len() {
-            // Candidate universe: occupied, unfinished slots this scheduler
-            // owns. All classification below is mask intersection; only the
-            // decoded, operand-checkable slots need a per-slot walk.
-            let cand = self.table.live() & self.sched_masks[sched_id];
-            if cand == 0 {
-                self.stats.stalls.record(StallReason::Idle);
-                continue;
-            }
-            let barrier_set = cand & self.table.barrier_mask();
-            let rest = cand & !self.table.barrier_mask();
-            let fetch_set = rest & self.table.ib_empty_mask();
-            let decoded = rest & !self.table.ib_empty_mask();
-            let mem_set = decoded & self.table.mem_pending_mask();
-            let (alu_ok, sfu_ok, lsu_ok) = {
-                let unit = &self.units[sched_id];
-                (
-                    unit.alu_busy_until <= now,
-                    unit.sfu_busy_until <= now,
-                    unit.lsu.is_none(),
-                )
-            };
-            let mut n_raw = 0u32;
-            let mut n_exec = 0u32;
-            let mut issuable = 0u64;
-            let mut m = decoded & !mem_set;
-            while m != 0 {
-                let slot = m.trailing_zeros() as usize;
-                m &= m - 1;
-                if self.table.head_ready(slot) > now {
-                    n_raw += 1;
-                    continue;
-                }
-                let available = match self.table.head_op(slot) {
-                    OpClass::Alu => alu_ok,
-                    OpClass::Sfu => sfu_ok,
-                    OpClass::Barrier => true,
-                    _ => lsu_ok,
-                };
-                if available {
-                    issuable |= 1u64 << slot;
-                } else {
-                    n_exec += 1;
-                }
-            }
-
+            let (issuable, stall) = self.classify(sched_id, now);
             if let Some(slot) = self.schedulers[sched_id].select(issuable, self.table.launch_seqs())
             {
                 self.issue_to_unit(now, sched_id, slot, descs, kernel_insts);
                 self.schedulers[sched_id].note_issue(slot);
                 any_issued = true;
             } else {
-                // Attribute the lost cycle to the reason blocking the most
-                // warps (ties broken in the paper's Fig. 1 priority order);
-                // strict comparison keeps the *first* maximum on ties.
-                let counts = [
-                    (mem_set.count_ones(), StallReason::LongMemoryLatency),
-                    (n_raw, StallReason::ShortRawHazard),
-                    (n_exec, StallReason::ExecResource),
-                    (fetch_set.count_ones(), StallReason::IbufferEmpty),
-                    (barrier_set.count_ones(), StallReason::Barrier),
-                ];
-                let mut best = counts[0];
-                for &c in &counts[1..] {
-                    if c.0 > best.0 {
-                        best = c;
-                    }
-                }
-                self.stats.stalls.record(best.1);
+                self.stats.stalls.record(stall);
             }
         }
         any_issued
@@ -903,119 +888,56 @@ impl Sm {
         if self.horizon_valid && self.horizon >= from {
             return self.horizon;
         }
+        self.table.advance(from);
         let h = self.compute_horizon(from);
         self.horizon = h;
         self.horizon_valid = true;
         h
     }
 
+    /// The horizon from the scoreboard masks, advanced to `from`.
     fn compute_horizon(&self, from: u64) -> u64 {
         // An in-flight LSU operation processes a line (or burns a
         // serialization cycle) every tick.
         if self.lsu_busy_mask != 0 {
             return from;
         }
-        if self.table.resident_mask() == 0 {
+        let t = &self.table;
+        if t.resident_mask() == 0 {
             return u64::MAX;
         }
-        let num_sched = self.schedulers.len();
-        // Slots with no issue event of their own: a parked warp un-parks
-        // only when the last sibling issues its barrier (that sibling's
-        // event); an empty i-buffer is covered by the fetch event; a
-        // pending global load by the memory subsystem's horizon.
-        let skip =
-            self.table.barrier_mask() | self.table.ib_empty_mask() | self.table.mem_pending_mask();
-        let mut best = u64::MAX;
-        let mut m = self.table.live();
-        while m != 0 {
-            let slot = m.trailing_zeros() as usize;
-            let bit = m & m.wrapping_neg();
-            m &= m - 1;
-            let f = self.table.fetch_at(slot);
-            if f != u64::MAX {
-                best = best.min(f.max(from));
+        // An open fetch port fetches on the next tick.
+        if t.live() & t.fetch_ready_mask() != 0 {
+            return from;
+        }
+        // Slots with no issue event of their own are left out: a parked
+        // warp un-parks only when the last sibling issues its barrier (that
+        // sibling's event); an empty i-buffer is covered by the fetch wake;
+        // a pending global load by the memory subsystem's horizon. A RAW
+        // wait ends the span at its wake cycle even if the unit is still
+        // busy then, because the stall classification flips from
+        // ShortRawHazard to ExecResource.
+        let ready = t.live()
+            & !t.barrier_mask()
+            & !t.ib_empty_mask()
+            & !t.mem_pending_mask()
+            & !t.raw_pending_mask();
+        // Barriers always issue; LSU-class ops issue whenever the LSU is
+        // free, and no LSU op is in flight here.
+        if ready & (t.barrier_heads() | t.lsu_heads()) != 0 {
+            return from;
+        }
+        let mut best = t.fetch_wake().min(t.raw_wake());
+        for (unit, &owned) in self.units.iter().zip(&self.sched_masks) {
+            // Operands ready now: bounded by unit availability.
+            if ready & owned & t.alu_heads() != 0 {
+                best = best.min(unit.alu_busy_until.max(from));
             }
-            if skip & bit != 0 {
-                continue;
-            }
-            let ready = self.table.head_ready(slot);
-            let e = if ready > from {
-                // RAW horizon. Even if the unit is still busy at `ready`,
-                // the span must end there: the stall classification flips
-                // from ShortRawHazard to ExecResource.
-                ready
-            } else {
-                // Operands ready now: bounded by unit availability.
-                let unit = &self.units[slot % num_sched];
-                match self.table.head_op(slot) {
-                    OpClass::Alu => unit.alu_busy_until.max(from),
-                    OpClass::Sfu => unit.sfu_busy_until.max(from),
-                    // Barriers always issue; LSU-class ops issue whenever
-                    // the LSU is free, and no LSU op is in flight here.
-                    _ => from,
-                }
-            };
-            best = best.min(e);
-            if best <= from {
-                return from;
+            if ready & owned & t.sfu_heads() != 0 {
+                best = best.min(unit.sfu_busy_until.max(from));
             }
         }
         best
-    }
-
-    /// Read-only mirror of `issue_stage`'s stall classification for
-    /// scheduler `sched_id` at cycle `now`, used to replay a dead span in
-    /// bulk. The event horizon guarantees the classification is constant
-    /// across the span and that no warp can actually issue.
-    fn classify_stall(&self, sched_id: usize, now: u64) -> StallReason {
-        let cand = self.table.live() & self.sched_masks[sched_id];
-        if cand == 0 {
-            return StallReason::Idle;
-        }
-        let barrier_set = cand & self.table.barrier_mask();
-        let rest = cand & !self.table.barrier_mask();
-        let fetch_set = rest & self.table.ib_empty_mask();
-        let decoded = rest & !self.table.ib_empty_mask();
-        let mem_set = decoded & self.table.mem_pending_mask();
-        let mut n_raw = 0u32;
-        let mut n_exec = 0u32;
-        let mut m = decoded & !mem_set;
-        while m != 0 {
-            let slot = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if self.table.head_ready(slot) > now {
-                n_raw += 1;
-                continue;
-            }
-            crate::strict_assert!(
-                {
-                    let unit = &self.units[sched_id];
-                    match self.table.head_op(slot) {
-                        OpClass::Alu => unit.alu_busy_until > now,
-                        OpClass::Sfu => unit.sfu_busy_until > now,
-                        OpClass::Barrier => false,
-                        _ => unit.lsu.is_some(),
-                    }
-                },
-                "SM {}: warp slot {slot} was issuable inside a fast-forwarded span",
-                self.id
-            );
-            n_exec += 1;
-        }
-        let counts = [
-            (mem_set.count_ones(), StallReason::LongMemoryLatency),
-            (n_raw, StallReason::ShortRawHazard),
-            (n_exec, StallReason::ExecResource),
-            (fetch_set.count_ones(), StallReason::IbufferEmpty),
-            (barrier_set.count_ones(), StallReason::Barrier),
-        ];
-        let mut best = counts[0];
-        for &c in &counts[1..] {
-            if c.0 > best.0 {
-                best = c;
-            }
-        }
-        best.1
     }
 
     /// Bulk-replays the per-cycle bookkeeping `tick` would have performed
@@ -1027,8 +949,14 @@ impl Sm {
     pub fn account_skip(&mut self, from: u64, to: u64) {
         debug_assert!(to > from, "empty skip span");
         let span = to - from;
+        self.table.advance(from);
         for sched_id in 0..self.schedulers.len() {
-            let reason = self.classify_stall(sched_id, from);
+            let (issuable, reason) = self.classify(sched_id, from);
+            crate::strict_assert!(
+                issuable == 0,
+                "SM {}: scheduler {sched_id} could issue inside a fast-forwarded span",
+                self.id
+            );
             self.stats.stalls.record_n(reason, span);
         }
         let n = self.warps.len().max(1) as u64;

@@ -286,16 +286,6 @@ impl Warp {
         }
     }
 
-    /// The earliest cycle `>= from` at which the front end could fetch, or
-    /// `None` when fetching cannot resume on its own: the body is fully
-    /// fetched, or the i-buffer is full (drained only by an issue, which is
-    /// itself an SM event).
-    #[must_use]
-    pub fn fetch_event(&self, from: u64) -> Option<u64> {
-        let at = self.fetch_ready_at();
-        (at != u64::MAX).then(|| at.max(from))
-    }
-
     /// The raw fetch readiness as a single sentinel-encoded cycle: the
     /// cycle the fetch port opens for this warp, or `u64::MAX` when fetching
     /// cannot resume on its own (body fully fetched, or i-buffer full). This
@@ -329,18 +319,6 @@ impl Warp {
         Some((ready, inst.op))
     }
 
-    /// The cycle at which every operand (and the destination) of the head
-    /// instruction becomes ready, or `None` when the i-buffer is empty or an
-    /// operand awaits an outstanding global load — a fill is a
-    /// memory-subsystem event, not a warp-local one, so the warp reports no
-    /// horizon of its own for it.
-    #[must_use]
-    pub fn operands_ready_at(&self) -> Option<u64> {
-        let (ready, _) = self.head_state()?;
-        // PENDING_LOAD is u64::MAX, so a pending operand dominates the max.
-        (ready != PENDING_LOAD).then_some(ready)
-    }
-
     /// Outstanding-load count (for occupancy introspection/tests).
     #[must_use]
     pub fn outstanding_loads(&self) -> usize {
@@ -354,17 +332,89 @@ impl Warp {
     }
 }
 
+/// Slots waiting for a per-slot cycle, plus the exact minimum of those
+/// cycles (`u64::MAX` when none waits).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WaitSet {
+    mask: u64,
+    wake: u64,
+}
+
+impl WaitSet {
+    const EMPTY: Self = Self {
+        mask: 0,
+        wake: u64::MAX,
+    };
+
+    /// Moves slot `slot` in or out of the set. `until` is the cycle it now
+    /// waits for (`None`: it no longer waits), `old` the cycle its entry in
+    /// `at` held before the caller overwrote it.
+    fn update(&mut self, slot: usize, old: u64, until: Option<u64>, at: &[u64]) {
+        let bit = 1u64 << slot;
+        let was = self.mask & bit != 0;
+        match until {
+            Some(t) => {
+                self.mask |= bit;
+                if t <= self.wake {
+                    self.wake = t;
+                    return;
+                }
+            }
+            None => self.mask &= !bit,
+        }
+        if was && old == self.wake {
+            // The slot may have held the minimum: recompute it.
+            self.wake = min_over(self.mask, at);
+        }
+    }
+
+    /// Drops every slot whose cycle is `<= now` and returns them.
+    fn expire(&mut self, now: u64, at: &[u64]) -> u64 {
+        let mut woke = 0u64;
+        let mut m = self.mask;
+        while m != 0 {
+            let slot = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if at[slot] <= now {
+                woke |= 1u64 << slot;
+            }
+        }
+        self.mask &= !woke;
+        self.wake = min_over(self.mask, at);
+        woke
+    }
+}
+
+/// Minimum of `at[slot]` over the slots of `mask` (`u64::MAX` if empty).
+fn min_over(mask: u64, at: &[u64]) -> u64 {
+    let mut best = u64::MAX;
+    let mut m = mask;
+    while m != 0 {
+        best = best.min(at[m.trailing_zeros() as usize]);
+        m &= m - 1;
+    }
+    best
+}
+
 /// Struct-of-arrays mirror of the per-warp state the per-cycle stages
-/// actually read: residency/finished/barrier/i-buffer/mem-pending bitmasks
-/// plus flat arrays of head readiness, head op class, fetch readiness, and
-/// launch order. The [`Warp`] structs stay the source of truth; the table
-/// is derived state maintained event-driven (the owning SM refreshes a slot
-/// after any mutation of its warp), so scheduler selection and stall
-/// classification become mask intersections and `trailing_zeros` walks
-/// instead of per-warp pointer chases. Capacity is one `u64` of slots —
+/// actually read: residency/finished/barrier/i-buffer/mem-pending bitmasks,
+/// op-class masks of the decoded heads, flat arrays of head readiness,
+/// fetch readiness, and launch order, and two wake-driven readiness splits.
+/// The [`Warp`] structs stay the source of truth; the table is derived
+/// state maintained event-driven (the owning SM refreshes a slot after any
+/// mutation of its warp), so scheduler selection and stall classification
+/// are mask intersections and popcounts instead of per-warp walks.
+///
+/// Readiness against the clock is kept relative to the table's last-known
+/// cycle ([`Self::now`]). A slot whose head operands or fetch port open
+/// later sits in a pending mask; [`Self::advance`] moves it out only when
+/// the clock reaches the pending set's minimum wake cycle, so a cycle in
+/// which nothing wakes costs two compares. Capacity is one `u64` of slots —
 /// `Sm::new` asserts `max_warps <= 64`.
 #[derive(Debug, Clone)]
 pub struct WarpTable {
+    /// The cycle the readiness masks are relative to.
+    now: u64,
     /// Occupied slots (whether or not the warp has finished issuing).
     resident: u64,
     /// Slots whose warp has issued its full instruction budget.
@@ -375,10 +425,20 @@ pub struct WarpTable {
     ib_empty: u64,
     /// Slots whose head instruction awaits an outstanding global load.
     mem_pending: u64,
+    /// Decoded heads by the unit they issue to.
+    alu_heads: u64,
+    sfu_heads: u64,
+    barrier_heads: u64,
+    lsu_heads: u64,
+    /// Short RAW waits: decoded, not parked at a barrier, head readiness
+    /// finite and later than `now`.
+    raw: WaitSet,
+    /// Fetch port closed until a finite cycle later than `now`.
+    fetch_wait: WaitSet,
+    /// Fetch port open at `now`.
+    fetch_ready: u64,
     /// Sentinel-encoded head readiness per slot (see [`Warp::head_state`]).
     head_ready: Vec<u64>,
-    /// Head-instruction op class per slot (meaningful only when decoded).
-    head_op: Vec<OpClass>,
     /// Sentinel-encoded fetch readiness (see [`Warp::fetch_ready_at`]).
     fetch_at: Vec<u64>,
     /// Launch-order stamp per slot (greedy-then-oldest key).
@@ -394,13 +454,20 @@ impl WarpTable {
             "WarpTable bitmasks hold at most 64 warp slots, got {n_slots}"
         );
         Self {
+            now: 0,
             resident: 0,
             finished: 0,
             barrier: 0,
             ib_empty: 0,
             mem_pending: 0,
+            alu_heads: 0,
+            sfu_heads: 0,
+            barrier_heads: 0,
+            lsu_heads: 0,
+            raw: WaitSet::EMPTY,
+            fetch_wait: WaitSet::EMPTY,
+            fetch_ready: 0,
             head_ready: vec![0; n_slots],
-            head_op: vec![OpClass::Alu; n_slots],
             fetch_at: vec![u64::MAX; n_slots],
             launch_seq: vec![0; n_slots],
         }
@@ -413,51 +480,135 @@ impl WarpTable {
     pub fn refresh(&mut self, slot: usize, warp: &Warp) {
         let bit = 1u64 << slot;
         self.resident |= bit;
-        if warp.finished() {
-            self.finished |= bit;
-        } else {
-            self.finished &= !bit;
-        }
-        if warp.at_barrier {
-            self.barrier |= bit;
-        } else {
-            self.barrier &= !bit;
-        }
-        self.fetch_at[slot] = warp.fetch_ready_at();
+        set_bit(&mut self.finished, bit, warp.finished());
+        set_bit(&mut self.barrier, bit, warp.at_barrier);
         self.launch_seq[slot] = warp.launch_seq;
-        match warp.head_state() {
+        self.set_fetch_at(slot, warp.fetch_ready_at());
+        self.set_head(slot, warp);
+    }
+
+    /// The narrower [`Self::refresh`] after a successful [`Warp::fetch`]:
+    /// a fetch leaves residency, finished and barrier state alone and
+    /// changes the head only when the i-buffer was empty.
+    pub fn refresh_fetched(&mut self, slot: usize, warp: &Warp) {
+        self.set_fetch_at(slot, warp.fetch_ready_at());
+        if self.ib_empty & (1u64 << slot) != 0 {
+            self.set_head(slot, warp);
+        }
+    }
+
+    /// Re-derives slot `slot`'s head entry: i-buffer and mem-pending bits,
+    /// op class, readiness, and RAW wait. Reads the barrier bit, so the
+    /// caller must have refreshed it first.
+    fn set_head(&mut self, slot: usize, warp: &Warp) {
+        let bit = 1u64 << slot;
+        self.alu_heads &= !bit;
+        self.sfu_heads &= !bit;
+        self.barrier_heads &= !bit;
+        self.lsu_heads &= !bit;
+        let ready = match warp.head_state() {
             Some((ready, op)) => {
                 self.ib_empty &= !bit;
-                if ready == PENDING_LOAD {
-                    self.mem_pending |= bit;
-                } else {
-                    self.mem_pending &= !bit;
-                }
-                self.head_ready[slot] = ready;
-                self.head_op[slot] = op;
+                set_bit(&mut self.mem_pending, bit, ready == PENDING_LOAD);
+                *match op {
+                    OpClass::Alu => &mut self.alu_heads,
+                    OpClass::Sfu => &mut self.sfu_heads,
+                    OpClass::Barrier => &mut self.barrier_heads,
+                    OpClass::GlobalLoad | OpClass::GlobalStore | OpClass::SharedMem => {
+                        &mut self.lsu_heads
+                    }
+                } |= bit;
+                ready
             }
             None => {
                 self.ib_empty |= bit;
                 self.mem_pending &= !bit;
-                self.head_ready[slot] = 0;
-                self.head_op[slot] = OpClass::Alu;
+                0
             }
-        }
+        };
+        let old = std::mem::replace(&mut self.head_ready[slot], ready);
+        let waits = ready != PENDING_LOAD && ready > self.now && self.barrier & bit == 0;
+        self.raw
+            .update(slot, old, waits.then_some(ready), &self.head_ready);
+    }
+
+    /// Records slot `slot`'s fetch readiness and files it as open, waiting,
+    /// or (`u64::MAX`) closed.
+    fn set_fetch_at(&mut self, slot: usize, at: u64) {
+        let old = std::mem::replace(&mut self.fetch_at[slot], at);
+        let waits = at != u64::MAX && at > self.now;
+        self.fetch_wait
+            .update(slot, old, waits.then_some(at), &self.fetch_at);
+        set_bit(&mut self.fetch_ready, 1u64 << slot, at <= self.now);
     }
 
     /// Clears slot `slot` back to its vacant canonical state (warp
     /// released or CTA retired).
     pub fn clear(&mut self, slot: usize) {
         let keep = !(1u64 << slot);
-        self.resident &= keep;
-        self.finished &= keep;
-        self.barrier &= keep;
-        self.ib_empty &= keep;
-        self.mem_pending &= keep;
-        self.head_ready[slot] = 0;
-        self.head_op[slot] = OpClass::Alu;
-        self.fetch_at[slot] = u64::MAX;
+        for m in [
+            &mut self.resident,
+            &mut self.finished,
+            &mut self.barrier,
+            &mut self.ib_empty,
+            &mut self.mem_pending,
+            &mut self.alu_heads,
+            &mut self.sfu_heads,
+            &mut self.barrier_heads,
+            &mut self.lsu_heads,
+        ] {
+            *m &= keep;
+        }
+        let old = std::mem::replace(&mut self.head_ready[slot], 0);
+        self.raw.update(slot, old, None, &self.head_ready);
+        self.set_fetch_at(slot, u64::MAX);
         self.launch_seq[slot] = 0;
+    }
+
+    /// Moves the readiness masks to cycle `now`: slots whose RAW wait or
+    /// fetch wait ends at or before `now` become ready. Only the pending
+    /// bits are rescanned, and only once `now` reaches a wake cycle, so any
+    /// jump forward — one tick or a fast-forwarded span — costs the same.
+    /// A clock that moves backwards (never the case under `Sm::tick`)
+    /// reclassifies every slot.
+    pub fn advance(&mut self, now: u64) {
+        if now < self.now {
+            self.now = now;
+            self.reclassify();
+            return;
+        }
+        self.now = now;
+        if now >= self.raw.wake {
+            let _ = self.raw.expire(now, &self.head_ready);
+        }
+        if now >= self.fetch_wait.wake {
+            self.fetch_ready |= self.fetch_wait.expire(now, &self.fetch_at);
+        }
+    }
+
+    /// Rebuilds both wait splits from the per-slot arrays at `self.now`.
+    fn reclassify(&mut self) {
+        self.raw = WaitSet::EMPTY;
+        self.fetch_wait = WaitSet::EMPTY;
+        self.fetch_ready = 0;
+        let decoded = self.resident & !self.ib_empty & !self.mem_pending & !self.barrier;
+        let mut m = self.resident;
+        while m != 0 {
+            let slot = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let ready = self.head_ready[slot];
+            if decoded & (1u64 << slot) != 0 && ready > self.now {
+                self.raw.update(slot, ready, Some(ready), &self.head_ready);
+            }
+            self.set_fetch_at(slot, self.fetch_at[slot]);
+        }
+    }
+
+    /// The cycle the readiness masks are relative to (the last
+    /// [`Self::advance`]).
+    #[must_use]
+    pub fn now(&self) -> u64 {
+        self.now
     }
 
     /// Occupied slots.
@@ -491,16 +642,68 @@ impl WarpTable {
         self.mem_pending
     }
 
+    /// Slots not parked at a barrier whose decoded head waits on a short
+    /// RAW hazard at [`Self::now`].
+    #[must_use]
+    pub fn raw_pending_mask(&self) -> u64 {
+        self.raw.mask
+    }
+
+    /// The earliest cycle a RAW-pending slot's operands become ready
+    /// (`u64::MAX` when none waits).
+    #[must_use]
+    pub fn raw_wake(&self) -> u64 {
+        self.raw.wake
+    }
+
+    /// Slots whose fetch port is open at [`Self::now`].
+    #[must_use]
+    pub fn fetch_ready_mask(&self) -> u64 {
+        self.fetch_ready
+    }
+
+    /// Slots whose fetch port opens at a known later cycle.
+    #[must_use]
+    pub fn fetch_wait_mask(&self) -> u64 {
+        self.fetch_wait.mask
+    }
+
+    /// The earliest cycle a fetch-waiting slot's port opens (`u64::MAX`
+    /// when none waits).
+    #[must_use]
+    pub fn fetch_wake(&self) -> u64 {
+        self.fetch_wait.wake
+    }
+
+    /// Decoded heads issuing to the ALU.
+    #[must_use]
+    pub fn alu_heads(&self) -> u64 {
+        self.alu_heads
+    }
+
+    /// Decoded heads issuing to the SFU.
+    #[must_use]
+    pub fn sfu_heads(&self) -> u64 {
+        self.sfu_heads
+    }
+
+    /// Decoded heads that are barriers (they need no unit).
+    #[must_use]
+    pub fn barrier_heads(&self) -> u64 {
+        self.barrier_heads
+    }
+
+    /// Decoded heads issuing to the LSU (global loads and stores, shared
+    /// memory).
+    #[must_use]
+    pub fn lsu_heads(&self) -> u64 {
+        self.lsu_heads
+    }
+
     /// Sentinel-encoded head readiness for slot `slot`.
     #[must_use]
     pub fn head_ready(&self, slot: usize) -> u64 {
         self.head_ready[slot]
-    }
-
-    /// Head-instruction op class for slot `slot`.
-    #[must_use]
-    pub fn head_op(&self, slot: usize) -> OpClass {
-        self.head_op[slot]
     }
 
     /// Sentinel-encoded fetch readiness for slot `slot`.
@@ -515,62 +718,106 @@ impl WarpTable {
         &self.launch_seq
     }
 
-    /// Oracle check: asserts every derived entry matches a fresh
-    /// recomputation from `warps`. This is the SoA-vs-oracle contract the
-    /// strict-invariant layer runs inside the tick loop in debug builds.
+    /// Oracle check: asserts every derived entry — masks, arrays, and both
+    /// wake minima — matches a fresh recomputation from `warps` at
+    /// [`Self::now`]. This is the SoA-vs-oracle contract the strict-invariant
+    /// layer runs inside the tick loop in debug builds.
     ///
     /// # Panics
     ///
     /// Panics on any divergence between the table and the warp array.
     pub fn assert_matches(&self, warps: &[Option<Warp>]) {
         assert_eq!(self.head_ready.len(), warps.len(), "slot count mismatch");
+        let now = self.now;
+        let mut raw = WaitSet::EMPTY;
+        let mut fetch_wait = WaitSet::EMPTY;
+        let mut fetch_ready = 0u64;
+        let mut heads = [0u64; 4];
         for (slot, warp) in warps.iter().enumerate() {
             let bit = 1u64 << slot;
-            match warp.as_ref() {
+            let Some(w) = warp.as_ref() else {
+                assert_eq!(self.resident & bit, 0, "slot {slot}: vacant but resident");
+                assert_eq!(self.fetch_at[slot], u64::MAX, "slot {slot}: stale fetch_at");
+                continue;
+            };
+            assert_ne!(self.resident & bit, 0, "slot {slot}: resident bit missing");
+            assert_eq!(
+                self.finished & bit != 0,
+                w.finished(),
+                "slot {slot}: finished bit"
+            );
+            assert_eq!(
+                self.barrier & bit != 0,
+                w.at_barrier,
+                "slot {slot}: barrier bit"
+            );
+            let f = w.fetch_ready_at();
+            assert_eq!(self.fetch_at[slot], f, "slot {slot}: fetch_at");
+            if f != u64::MAX && f > now {
+                fetch_wait.mask |= bit;
+                fetch_wait.wake = fetch_wait.wake.min(f);
+            } else if f <= now {
+                fetch_ready |= bit;
+            }
+            assert_eq!(
+                self.launch_seq[slot], w.launch_seq,
+                "slot {slot}: launch_seq"
+            );
+            match w.head_state() {
                 None => {
-                    assert_eq!(self.resident & bit, 0, "slot {slot}: vacant but resident");
-                    assert_eq!(self.fetch_at[slot], u64::MAX, "slot {slot}: stale fetch_at");
+                    assert_ne!(self.ib_empty & bit, 0, "slot {slot}: ib_empty bit");
+                    assert_eq!(self.mem_pending & bit, 0, "slot {slot}: mem_pending bit");
                 }
-                Some(w) => {
-                    assert_ne!(self.resident & bit, 0, "slot {slot}: resident bit missing");
+                Some((ready, op)) => {
+                    assert_eq!(self.ib_empty & bit, 0, "slot {slot}: ib_empty bit set");
                     assert_eq!(
-                        self.finished & bit != 0,
-                        w.finished(),
-                        "slot {slot}: finished bit"
+                        self.mem_pending & bit != 0,
+                        ready == PENDING_LOAD,
+                        "slot {slot}: mem_pending bit"
                     );
-                    assert_eq!(
-                        self.barrier & bit != 0,
-                        w.at_barrier,
-                        "slot {slot}: barrier bit"
-                    );
-                    assert_eq!(
-                        self.fetch_at[slot],
-                        w.fetch_ready_at(),
-                        "slot {slot}: fetch_at"
-                    );
-                    assert_eq!(
-                        self.launch_seq[slot], w.launch_seq,
-                        "slot {slot}: launch_seq"
-                    );
-                    match w.head_state() {
-                        None => {
-                            assert_ne!(self.ib_empty & bit, 0, "slot {slot}: ib_empty bit");
-                            assert_eq!(self.mem_pending & bit, 0, "slot {slot}: mem_pending bit");
-                        }
-                        Some((ready, op)) => {
-                            assert_eq!(self.ib_empty & bit, 0, "slot {slot}: ib_empty bit set");
-                            assert_eq!(
-                                self.mem_pending & bit != 0,
-                                ready == PENDING_LOAD,
-                                "slot {slot}: mem_pending bit"
-                            );
-                            assert_eq!(self.head_ready[slot], ready, "slot {slot}: head_ready");
-                            assert_eq!(self.head_op[slot], op, "slot {slot}: head_op");
-                        }
+                    assert_eq!(self.head_ready[slot], ready, "slot {slot}: head_ready");
+                    let class = match op {
+                        OpClass::Alu => 0,
+                        OpClass::Sfu => 1,
+                        OpClass::Barrier => 2,
+                        OpClass::GlobalLoad | OpClass::GlobalStore | OpClass::SharedMem => 3,
+                    };
+                    heads[class] |= bit;
+                    if ready != PENDING_LOAD && ready > now && !w.at_barrier {
+                        raw.mask |= bit;
+                        raw.wake = raw.wake.min(ready);
                     }
                 }
             }
         }
+        assert_eq!(
+            [
+                self.alu_heads,
+                self.sfu_heads,
+                self.barrier_heads,
+                self.lsu_heads
+            ],
+            heads,
+            "op-class masks (alu, sfu, barrier, lsu) at cycle {now}"
+        );
+        assert_eq!(self.raw, raw, "RAW-pending mask / wake at cycle {now}");
+        assert_eq!(
+            self.fetch_wait, fetch_wait,
+            "fetch-wait mask / wake at cycle {now}"
+        );
+        assert_eq!(
+            self.fetch_ready, fetch_ready,
+            "fetch-ready mask at cycle {now}"
+        );
+    }
+}
+
+/// Sets or clears `bit` in `mask`.
+fn set_bit(mask: &mut u64, bit: u64, on: bool) {
+    if on {
+        *mask |= bit;
+    } else {
+        *mask &= !bit;
     }
 }
 
@@ -743,7 +990,7 @@ mod tests {
         w.fetch(0, &desc, 1, 0);
         t.refresh(0, &w);
         assert_eq!(t.ib_empty_mask() & 1, 0);
-        assert_eq!(t.head_op(0), OpClass::GlobalLoad);
+        assert_eq!(t.lsu_heads(), 1, "a global-load head issues to the LSU");
         t.assert_matches(&[Some(w.clone()), None, None, None]);
 
         let inst = w.issue(0, 0);
@@ -760,6 +1007,19 @@ mod tests {
         t.refresh(0, &w);
         assert_eq!(t.mem_pending_mask() & 1, 0);
         assert_eq!(t.head_ready(0), 50);
+        assert_eq!(t.raw_pending_mask(), 1, "operands ready at 50, table at 0");
+        assert_eq!(t.raw_wake(), 50);
+        t.assert_matches(&[Some(w.clone()), None, None, None]);
+
+        // Advancing short of the wake cycle changes nothing; reaching it
+        // clears the RAW bit and the wake.
+        t.advance(49);
+        assert_eq!(t.raw_pending_mask(), 1);
+        t.assert_matches(&[Some(w.clone()), None, None, None]);
+        t.advance(50);
+        assert_eq!(t.raw_pending_mask(), 0);
+        assert_eq!(t.raw_wake(), u64::MAX);
+        assert_eq!(t.alu_heads(), 1);
         t.assert_matches(&[Some(w.clone()), None, None, None]);
 
         t.clear(0);
@@ -790,6 +1050,42 @@ mod tests {
         w.at_barrier = false;
         t.refresh(0, &w);
         assert_eq!(t.barrier_mask(), 0);
+    }
+
+    #[test]
+    fn wait_sets_track_exact_minimum_and_survive_rewind() {
+        let desc = kernel_with(vec![alu(0, 1), alu(2, 0)], 4);
+        let mut warps: Vec<Option<Warp>> = (0..3)
+            .map(|i| Some(Warp::new(&desc, KernelId(0), 0, 0, i, 0, u64::from(i), 2)))
+            .collect();
+        let mut t = WarpTable::new(3);
+        // Fetch at cycles 0..3 with latency 10: ports reopen at 10, 11, 12.
+        for (slot, w) in warps.iter_mut().enumerate() {
+            let now = slot as u64;
+            t.advance(now);
+            let w = w.as_mut().unwrap();
+            assert!(w.fetch(now, &desc, 10, 0));
+            t.refresh(slot, w);
+        }
+        assert_eq!(t.fetch_wait_mask(), 0b111);
+        assert_eq!(t.fetch_wake(), 10);
+        t.assert_matches(&warps);
+        // Removing the slot holding the minimum recomputes it exactly.
+        warps[0] = None;
+        t.clear(0);
+        assert_eq!(t.fetch_wake(), 11);
+        t.assert_matches(&warps);
+        // One long jump wakes everything at once.
+        t.advance(1_000);
+        assert_eq!(t.fetch_wait_mask(), 0);
+        assert_eq!(t.fetch_ready_mask(), 0b110);
+        assert_eq!(t.fetch_wake(), u64::MAX);
+        t.assert_matches(&warps);
+        // A clock moved backwards reclassifies every slot.
+        t.advance(11);
+        assert_eq!(t.fetch_wait_mask(), 0b100);
+        assert_eq!(t.fetch_ready_mask(), 0b010);
+        t.assert_matches(&warps);
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Property tests for the struct-of-arrays warp scoreboard.
 //!
 //! The SM maintains per-slot bitmasks (residency, finished, barrier,
-//! i-buffer, mem-pending) plus head-readiness arrays incrementally, and the
-//! schedulers select warps by mask intersection. These tests drive random
-//! issue/fill/barrier/launch/evict sequences with the in-tree deterministic
-//! `SimRng` and re-derive the scoreboard from the `Option<Warp>` slots (the
-//! naive oracle) after every step; any stale bit panics with the slot and
-//! field that diverged.
+//! i-buffer, mem-pending, op class of the decoded head) plus wake-driven
+//! RAW and fetch readiness incrementally, and the schedulers select warps
+//! by mask intersection. These tests drive random
+//! issue/fill/barrier/launch/evict/relaunch sequences and clock jumps with
+//! the in-tree deterministic `SimRng` and re-derive the scoreboard —
+//! including both wake minima — from the `Option<Warp>` slots (the naive
+//! oracle) after every step; any stale bit panics with the slot and field
+//! that diverged.
 
 use gpu_sim::{
-    AccessPattern, GpuConfig, KernelDesc, KernelId, MemSubsystem, ProgramSpec, SchedulerKind,
+    AccessPattern, Gpu, GpuConfig, KernelDesc, KernelId, MemSubsystem, ProgramSpec, SchedulerKind,
     SimRng, Sm,
 };
 
@@ -76,8 +78,9 @@ fn kernel_mix() -> Vec<KernelDesc> {
 }
 
 /// Random issue/fill/barrier/exit sequences: every step (tick, fill batch,
-/// launch, evict) is followed by a full oracle re-derivation. 6 seeds x
-/// both scheduler kinds x 1500 steps each.
+/// launch, evict, evict-and-relaunch into the freed slots, clock jump) is
+/// followed by a full oracle re-derivation. 6 seeds x both scheduler kinds
+/// x 1500 steps each.
 #[test]
 fn bitmask_scoreboard_matches_naive_oracle_under_random_sequences() {
     let cfg = GpuConfig::isca_baseline();
@@ -108,6 +111,27 @@ fn bitmask_scoreboard_matches_naive_oracle_under_random_sequences() {
                 // dropped by generation checks, bits must clear).
                 let k = rng.range_usize(descs.len());
                 sm.evict_kernel(k, &descs[k]);
+            } else if roll < 12 {
+                // Evict and immediately relaunch another kernel into the
+                // freed slots: a reused slot must not inherit a stale RAW
+                // or fetch wait, or a stale op-class bit.
+                let k = rng.range_usize(descs.len());
+                sm.evict_kernel(k, &descs[k]);
+                sm.check_scoreboard();
+                let j = (k + 1 + rng.range_usize(descs.len() - 1)) % descs.len();
+                if sm.launch_cta(&descs[j], KernelId(j), cta_counter[j]) {
+                    cta_counter[j] += 1;
+                }
+            } else if roll < 14 {
+                // Jump the clock further than any pipeline latency, as a
+                // fast-forward does: every pending wake expires at once.
+                now += 100 + rng.range_u64(2_000);
+                sm.tick(now, &mut mem, &descs, &mut kernel_insts);
+                responses.clear();
+                mem.tick(now, &mut responses);
+                let lines: Vec<_> = responses.iter().map(|r| r.line).collect();
+                sm.on_fill_batch(&lines, now);
+                now += 1;
             } else {
                 sm.tick(now, &mut mem, &descs, &mut kernel_insts);
                 responses.clear();
@@ -139,6 +163,72 @@ fn bitmask_scoreboard_matches_naive_oracle_under_random_sequences() {
             "case {case}: sequences must make progress"
         );
     }
+}
+
+/// Fast-forward on a sparse run — one single-warp CTA of dependent loads
+/// at a time on one SM, so the GPU idles on DRAM for long spans — with the scoreboard of every SM
+/// re-derived after each tick and each jump. Jumps must include spans
+/// longer than every pipeline latency, so wake cycles expire inside them.
+#[test]
+fn scoreboard_matches_oracle_across_fast_forward_jumps() {
+    let cfg = GpuConfig::isca_baseline();
+    let longest_latency = [
+        cfg.sm.alu_latency,
+        cfg.sm.sfu_latency,
+        cfg.sm.shmem_latency,
+        cfg.sm.l1_hit_latency,
+        cfg.sm.fetch_latency + cfg.sm.icache_miss_penalty,
+    ]
+    .into_iter()
+    .max()
+    .map_or(0, u64::from);
+    let mut gpu = Gpu::new(cfg, SchedulerKind::GreedyThenOldest);
+    gpu.set_fast_forward(true);
+    let descs = kernel_mix();
+    let mem = gpu.add_kernel(KernelDesc {
+        grid_ctas: 6,
+        threads_per_cta: 32,
+        program: ProgramSpec {
+            body_len: 16,
+            dep_distance: 1,
+            gload_frac: 0.8,
+            ..ProgramSpec::default()
+        }
+        .generate(),
+        iterations: 20,
+        pattern: AccessPattern::Random {
+            footprint_lines: 1 << 16,
+            transactions: 1,
+        },
+        ..descs[1].clone()
+    });
+    assert!(gpu.try_launch(mem, 0));
+    let end = 30_000;
+    let mut longest_jump = 0u64;
+    while gpu.cycle() < end {
+        gpu.tick();
+        for s in 0..gpu.num_sms() {
+            gpu.sm(s).check_scoreboard();
+        }
+        let resident = (0..gpu.num_sms()).any(|s| gpu.sm(s).scoreboard().live() != 0);
+        let skipped = gpu.fast_forward(end);
+        if resident {
+            longest_jump = longest_jump.max(skipped);
+        }
+        for s in 0..gpu.num_sms() {
+            gpu.sm(s).check_scoreboard();
+        }
+        // Refill so CTAs launch into slots that retired CTAs vacated.
+        if gpu.sm(0).resident_ctas() == 0 {
+            let _ = gpu.try_launch(mem, 0);
+        }
+    }
+    assert!(gpu.kernel_insts(mem) > 0, "the run must make progress");
+    assert!(
+        longest_jump > longest_latency,
+        "expected a jump over live warps longer than every latency ({longest_latency}), \
+         longest was {longest_jump}"
+    );
 }
 
 /// The single-popcount occupancy accumulator must equal the old per-warp

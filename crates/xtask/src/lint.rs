@@ -111,15 +111,17 @@ pub const RULE_NAMES: [&str; 9] = [
 /// asserts it), so the transitive `no-tick-alloc` rule covers at least the
 /// surface the old per-name rule did.
 #[cfg_attr(not(test), allow(dead_code))]
-pub const TICK_PATH_FNS: [&str; 16] = [
+pub const TICK_PATH_FNS: [&str; 18] = [
     "tick",
     "tick_fast_forward",
     "fast_forward",
+    "apply_fills",
     "on_fill",
     "on_fill_batch",
     "next_event",
     "account_skip",
-    "classify_stall",
+    "classify",
+    "advance",
     "compute_horizon",
     "drain_completions_into",
     "take_completions",
