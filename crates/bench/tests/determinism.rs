@@ -2,11 +2,12 @@
 //! experiment tables must be byte-identical whether the pool runs with one
 //! worker (the historical serial harness) or many — including under
 //! work-stealing with heavily skewed job sizes, and for the pipelined
-//! profile→decide harness against its barriered baseline.
+//! planned sweep whose fallback rounds are resubmitted mid-drain.
 
-use std::sync::{Arc, Mutex, PoisonError};
-
-use warped_slicer::{execute_batch, PolicyKind, RunConfig, SimJob};
+use gpu_sim::KernelDesc;
+use warped_slicer::{
+    execute_batch, profile_curves_planned, PolicyKind, RunConfig, SimJob, SweepPlan,
+};
 use ws_bench::experiments::{fig3, fig6};
 use ws_bench::ExperimentContext;
 use ws_workloads::{all_pairs, by_abbrev, Pair, PairCategory};
@@ -70,60 +71,33 @@ fn skewed_sim_batch_is_byte_identical_under_stealing() {
 }
 
 #[test]
-fn decide_pairs_pipelined_matches_barriered_at_any_worker_count() {
-    // The pipelined profile→decide harness must produce byte-identical
-    // decisions to the barriered baseline, serial and under stealing.
-    let pairs: Vec<Pair> = all_pairs().into_iter().take(4).collect();
-    let serial = ctx_with(1, 3_000).decide_pairs(&pairs, 1_500);
-    for threads in [1usize, 8] {
-        let ctx = ctx_with(threads, 3_000);
-        let barriered = ctx.decide_pairs(&pairs, 1_500);
-        let pipelined = ctx.decide_pairs_pipelined(&pairs, 1_500);
-        assert_eq!(barriered, pipelined, "threads={threads}");
-        assert_eq!(serial, pipelined, "threads={threads} vs serial");
-    }
-    for d in &serial {
-        assert_eq!(d.quotas.len(), 2, "{} infeasible", d.label);
-        assert!(d.samples_run >= 4, "{} sampled too little", d.label);
-    }
-}
-
-#[test]
-fn job_progress_shape_is_deterministic_across_worker_counts() {
-    // The per-job progress sink reports completion-count order: seq must
-    // be 1..=total at 1 and at 8 workers; only the finishing JobId may
-    // differ with scheduling.
-    let img = by_abbrev("IMG").expect("suite");
-    let mm = by_abbrev("MM").expect("suite");
-    let run = |threads: usize| -> Vec<(String, usize, usize)> {
-        let mut ctx = ctx_with(threads, 3_000);
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&events);
-        ctx.set_job_progress(Box::new(move |p| {
-            sink.lock().unwrap_or_else(PoisonError::into_inner).push((
-                p.label.clone(),
-                p.seq,
-                p.total,
-            ));
-        }));
-        let _ = ctx.corun_batch(&[
-            (vec![&img, &mm], PolicyKind::Even),
-            (vec![&img, &mm], PolicyKind::Spatial),
-            (vec![&img, &mm], PolicyKind::LeftOver),
-        ]);
-        let out = events.lock().unwrap_or_else(PoisonError::into_inner);
-        out.clone()
-    };
-    let serial = run(1);
-    let parallel = run(8);
-    // Identical shape: same labels, same seq sequences, same totals.
-    assert_eq!(serial, parallel);
-    let coruns: Vec<usize> = serial
+fn planned_sweep_is_identical_under_stealing_with_mid_drain_fallbacks() {
+    // One pipelined sweep over four pairs' kernels, one pair from each
+    // eighth of the Fig. 6 list (IMG's pruned window is rejected at this
+    // budget): a rejected kernel re-submits its fallback round while the
+    // other kernels' windows are still in flight. Serial and stolen drains
+    // must agree exactly.
+    let pairs: Vec<Pair> = all_pairs().into_iter().step_by(8).collect();
+    assert_eq!(pairs.len(), 4);
+    let cfg = RunConfig::default();
+    let descs: Vec<&KernelDesc> = pairs.iter().flat_map(|p| [&p.a.desc, &p.b.desc]).collect();
+    let maxes: Vec<u32> = descs
         .iter()
-        .filter(|(l, _, _)| l == "corun")
-        .map(|&(_, seq, _)| seq)
+        .map(|d| d.max_ctas_per_sm(&cfg.gpu.sm))
         .collect();
-    assert_eq!(coruns, vec![1, 2, 3]);
+    let plan = SweepPlan::from_predictions(&descs, &maxes, &cfg.gpu);
+    let sweep = |threads: usize| {
+        profile_curves_planned(&ws_exec::Pool::new(threads), &descs, &plan, 1_500, &cfg)
+    };
+    let serial = sweep(1);
+    assert_eq!(serial, sweep(8));
+    assert!(
+        plan.windows
+            .iter()
+            .zip(&serial.pruned)
+            .any(|(w, &pruned)| !w.is_full() && !pruned),
+        "some kernel's pruned window must be rejected, so its fallback round is resubmitted mid-drain"
+    );
 }
 
 #[test]

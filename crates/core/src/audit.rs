@@ -11,9 +11,11 @@
 //! baseline/deviation history.
 //!
 //! The audit is recorded only at decision points (profile end, phase-monitor
-//! windows), never per tick, and only when
-//! [`WarpedSlicerConfig::audit`](crate::policy::WarpedSlicerConfig) is set —
-//! the run path is unaffected otherwise. A recorded audit is *sufficient to
+//! windows), never per tick. The controller takes the same decision path
+//! whether or not
+//! [`WarpedSlicerConfig::audit`](crate::policy::WarpedSlicerConfig) is set;
+//! when it is not, the audit is disabled and drops every event unbuilt, so
+//! the run path is unaffected. A recorded audit is *sufficient to
 //! replay the decision*: [`DecisionAudit::replay_water_fill`] re-runs
 //! Algorithm 1 from the recorded inputs and must reproduce the recorded
 //! quota vector (a property the test suite pins).
@@ -157,17 +159,52 @@ pub enum AuditEvent {
 }
 
 /// The accumulated audit of one controller's decision process, in recording
-/// order.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// order. A disabled audit is the sink for callers that keep no trail: it
+/// drops every event, and [`DecisionAudit::record_with`] and
+/// [`DecisionAudit::record_all`] never build them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionAudit {
     /// Events in the order they were recorded.
     pub events: Vec<AuditEvent>,
+    enabled: bool,
+}
+
+impl Default for DecisionAudit {
+    /// An enabled, empty audit.
+    fn default() -> Self {
+        Self::new(true)
+    }
 }
 
 impl DecisionAudit {
-    /// Appends one event.
+    /// An empty audit that keeps events only when `enabled`.
+    #[must_use]
+    pub fn new(enabled: bool) -> Self {
+        Self {
+            events: Vec::new(),
+            enabled,
+        }
+    }
+
+    /// Appends one event (dropped when the audit is disabled).
     pub fn record(&mut self, event: AuditEvent) {
-        self.events.push(event);
+        if self.enabled {
+            self.events.push(event);
+        }
+    }
+
+    /// Appends the event `event` builds; a disabled audit never calls it.
+    pub fn record_with(&mut self, event: impl FnOnce() -> AuditEvent) {
+        if self.enabled {
+            self.events.push(event());
+        }
+    }
+
+    /// Appends every event of `events`; a disabled audit never iterates it.
+    pub fn record_all(&mut self, events: impl IntoIterator<Item = AuditEvent>) {
+        if self.enabled {
+            self.events.extend(events);
+        }
     }
 
     /// Whether nothing has been recorded.
@@ -335,6 +372,20 @@ mod tests {
             replayed_decisions += 1;
         }
         assert!(replayed_decisions > 50, "feasible cases dominate the fuzz");
+    }
+
+    #[test]
+    fn disabled_audit_drops_events_without_building_them() {
+        let mut a = DecisionAudit::new(false);
+        a.record(AuditEvent::Curve {
+            kernel: 0,
+            perf: vec![1.0],
+        });
+        a.record_with(|| panic!("a disabled audit must not build events"));
+        a.record_all(std::iter::from_fn(|| -> Option<AuditEvent> {
+            panic!("a disabled audit must not iterate events")
+        }));
+        assert!(a.is_empty());
     }
 
     #[test]

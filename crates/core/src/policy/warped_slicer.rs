@@ -16,12 +16,12 @@ use crate::policy::{
     SpatialController,
 };
 use crate::profiler::{
-    build_curves, build_curves_audited, BandwidthSample, ProfilePlan, ProfileSample, ProfileTiming,
+    build_curves_audited, BandwidthSample, ProfilePlan, ProfileSample, ProfileTiming,
 };
 use crate::resources::ResourceVec;
 use crate::store::{KernelSignature, SharedCurveStore, StoreEntry};
-use crate::sweep::{predict_default, SweepWindow};
-use crate::waterfill::{water_fill, water_fill_traced, KernelCurve};
+use crate::sweep::SweepWindow;
+use crate::waterfill::{water_fill_traced, KernelCurve};
 use ws_analyze::predict_kernel;
 
 /// Tunables for the Warped-Slicer controller.
@@ -48,16 +48,14 @@ pub struct WarpedSlicerConfig {
     /// Record a [`DecisionAudit`] of every scaling application,
     /// water-filling grant, fallback verdict, and phase-monitor window.
     /// Recording happens only at decision points, so the simulated run is
-    /// identical either way; off by default to keep decisions
-    /// allocation-free.
+    /// identical either way; off by default, when the controller's audit
+    /// drops every event without building it.
     pub audit: bool,
     /// Plan the profiling ramp from `ws-predict` static curves: each
     /// kernel's SM group concentrates its CTA counts in a window around the
     /// predicted knee (guarding the feasibility bound) instead of the plain
-    /// `1..=N` ramp. `None` defers to the `WS_PREDICT` environment variable
-    /// ([`crate::sweep::predict_default`]); `Some` pins the behavior
-    /// regardless of the environment.
-    pub predict: Option<bool>,
+    /// `1..=N` ramp. On by default.
+    pub predict: bool,
     /// Attach a shared ws-store performance-curve cache. Before installing
     /// profiling windows the controller looks every kernel's signature up
     /// in the store; when all of them hit, the memoized curves go straight
@@ -79,7 +77,7 @@ impl Default for WarpedSlicerConfig {
             phase_window: 5_000,
             phase_settle_windows: 4,
             audit: false,
-            predict: None,
+            predict: true,
             store: None,
         }
     }
@@ -150,6 +148,7 @@ impl WarpedSlicerController {
     /// Creates the controller.
     #[must_use]
     pub fn new(cfg: WarpedSlicerConfig) -> Self {
+        let audit = DecisionAudit::new(cfg.audit);
         Self {
             cfg,
             phase: Phase::Init,
@@ -167,7 +166,7 @@ impl WarpedSlicerController {
             reprofiles: 0,
             last_samples: Vec::new(),
             known_kernels: 0,
-            audit: DecisionAudit::default(),
+            audit,
             store_keys: Vec::new(),
             warm_decisions: 0,
         }
@@ -205,7 +204,7 @@ impl WarpedSlicerController {
     /// pre-flight keep their full `1..=N` ramp — pruning is an
     /// optimization, never a gate.
     fn plan_profile(&mut self, gpu: &Gpu, max: &[u32]) -> ProfilePlan {
-        if !self.cfg.predict.unwrap_or_else(predict_default) {
+        if !self.cfg.predict {
             return ProfilePlan::build(gpu.num_sms(), max);
         }
         let cfg = gpu.config();
@@ -218,19 +217,17 @@ impl WarpedSlicerController {
                 |(i, (&k, &m))| match predict_kernel(gpu.kernel_desc(k), cfg) {
                     Ok(curve) => {
                         let w = SweepWindow::around_knee(curve.knee, m);
-                        if self.cfg.audit {
-                            self.audit.record(AuditEvent::PredictedCurve {
-                                kernel: i,
-                                perf: curve.ipc,
-                                knee: curve.knee,
-                            });
-                            self.audit.record(AuditEvent::SweepWindow {
-                                kernel: i,
-                                lo: w.lo,
-                                hi: w.hi,
-                                max: w.max,
-                            });
-                        }
+                        self.audit.record_with(move || AuditEvent::PredictedCurve {
+                            kernel: i,
+                            perf: curve.ipc,
+                            knee: curve.knee,
+                        });
+                        self.audit.record(AuditEvent::SweepWindow {
+                            kernel: i,
+                            lo: w.lo,
+                            hi: w.hi,
+                            max: w.max,
+                        });
                         w
                     }
                     Err(_) => SweepWindow::full(m),
@@ -272,22 +269,23 @@ impl WarpedSlicerController {
                 })
                 .collect()
         });
-        if self.cfg.audit {
-            for (i, (sig, curve)) in keys.iter().zip(&curves).enumerate() {
-                let Some(sig) = sig else { continue };
-                match curve {
-                    Some(perf) => self.audit.record(AuditEvent::StoreHit {
-                        kernel: i,
-                        sig: sig.key.kernel_sig,
-                        perf: perf.clone(),
+        self.audit
+            .record_all(
+                keys.iter()
+                    .zip(&curves)
+                    .enumerate()
+                    .filter_map(|(i, (sig, curve))| {
+                        let sig = sig.as_ref()?.key.kernel_sig;
+                        Some(match curve {
+                            Some(perf) => AuditEvent::StoreHit {
+                                kernel: i,
+                                sig,
+                                perf: perf.clone(),
+                            },
+                            None => AuditEvent::StoreMiss { kernel: i, sig },
+                        })
                     }),
-                    None => self.audit.record(AuditEvent::StoreMiss {
-                        kernel: i,
-                        sig: sig.key.kernel_sig,
-                    }),
-                }
-            }
-        }
+            );
         let Some(curves) = curves.into_iter().collect::<Option<Vec<Vec<f64>>>>() else {
             return false;
         };
@@ -324,7 +322,7 @@ impl WarpedSlicerController {
             return;
         };
         let removed = store.with(|s| s.invalidate(&sig.key));
-        if removed && self.cfg.audit {
+        if removed {
             self.audit.record(AuditEvent::StoreInvalidate {
                 kernel,
                 sig: sig.key.kernel_sig,
@@ -427,11 +425,7 @@ impl WarpedSlicerController {
 
         self.last_samples = samples.clone();
         let max = Self::max_ctas(gpu);
-        let curves = if self.cfg.audit {
-            build_curves_audited(&samples, &max, &mut self.audit)
-        } else {
-            build_curves(&samples, &max)
-        };
+        let curves = build_curves_audited(&samples, &max, &mut self.audit);
         self.store_insert(gpu, &curves);
         self.decide_from_curves(gpu, curves);
     }
@@ -457,60 +451,47 @@ impl WarpedSlicerController {
         let capacity = ResourceVec::sm_capacity(&gpu.config().sm);
         let threshold = self.cfg.loss_threshold.unwrap_or(1.2 / ids.len() as f64);
 
-        let partition = if self.cfg.audit {
-            self.audit.record(AuditEvent::WaterFillInputs {
-                cta_costs: kernels.iter().map(|k| k.cta_cost).collect(),
-                capacity,
-            });
-            for (i, k) in kernels.iter().enumerate() {
-                self.audit.record(AuditEvent::Curve {
-                    kernel: i,
-                    perf: k.perf.clone(),
-                });
-            }
-            let mut steps = Vec::new();
-            let p = water_fill_traced(&kernels, capacity, &mut steps);
-            for s in steps {
-                self.audit.record(AuditEvent::WaterFillStep {
-                    kernel: s.kernel,
-                    ctas: s.ctas,
-                    perf: s.perf,
-                });
-            }
-            if let Some(p) = &p {
-                self.audit.record(AuditEvent::WaterFillDecision {
-                    quotas: p.ctas.clone(),
-                    water_level: p.min_perf(),
-                    predicted: p.perf.clone(),
-                });
-            }
-            p
-        } else {
-            water_fill(&kernels, capacity)
-        };
-        if self.cfg.audit {
-            let max_loss = partition
-                .as_ref()
-                .map(|p| p.losses().iter().copied().fold(f64::NEG_INFINITY, f64::max));
-            let spatial = match &partition {
-                Some(p) => p.losses().iter().any(|&l| l > threshold),
-                None => true,
-            };
-            self.audit.record(AuditEvent::FallbackVerdict {
-                threshold,
-                max_loss,
-                spatial,
+        self.audit.record_with(|| AuditEvent::WaterFillInputs {
+            cta_costs: kernels.iter().map(|k| k.cta_cost).collect(),
+            capacity,
+        });
+        self.audit
+            .record_all(kernels.iter().enumerate().map(|(i, k)| AuditEvent::Curve {
+                kernel: i,
+                perf: k.perf.clone(),
+            }));
+        let mut steps = Vec::new();
+        let partition = water_fill_traced(&kernels, capacity, &mut steps);
+        self.audit
+            .record_all(steps.into_iter().map(|s| AuditEvent::WaterFillStep {
+                kernel: s.kernel,
+                ctas: s.ctas,
+                perf: s.perf,
+            }));
+        if let Some(p) = &partition {
+            self.audit.record_with(|| AuditEvent::WaterFillDecision {
+                quotas: p.ctas.clone(),
+                water_level: p.min_perf(),
+                predicted: p.perf.clone(),
             });
         }
-        let (quotas, predicted, spatial) = match partition {
-            Some(p) if p.losses().iter().all(|&l| l <= threshold) => {
-                (Some(p.ctas.clone()), p.perf, false)
-            }
-            Some(p) => (None, p.perf, true),
-            None => (None, Vec::new(), true),
+        let spatial = !partition
+            .as_ref()
+            .is_some_and(|p| p.losses().iter().all(|&l| l <= threshold));
+        self.audit.record_with(|| AuditEvent::FallbackVerdict {
+            threshold,
+            max_loss: partition
+                .as_ref()
+                .map(|p| p.losses().iter().copied().fold(f64::NEG_INFINITY, f64::max)),
+            spatial,
+        });
+        let (quotas, predicted) = match partition {
+            Some(p) if !spatial => (Some(p.ctas), p.perf),
+            Some(p) => (None, p.perf),
+            None => (None, Vec::new()),
         };
         self.decision = Some(Decision {
-            quotas: quotas.clone(),
+            quotas,
             spatial_fallback: spatial,
             predicted_perf: predicted,
             decided_at: now,
@@ -586,15 +567,13 @@ impl WarpedSlicerController {
             }
             let baseline = self.monitors[i].baseline();
             let triggered = self.monitors[i].observe(ipc);
-            if self.cfg.audit {
-                self.audit.record(AuditEvent::PhaseSample {
-                    kernel: i,
-                    cycle: now,
-                    ipc,
-                    baseline,
-                    triggered,
-                });
-            }
+            self.audit.record(AuditEvent::PhaseSample {
+                kernel: i,
+                cycle: now,
+                ipc,
+                baseline,
+                triggered,
+            });
             if triggered {
                 trigger = true;
                 // The memoized curve no longer describes this kernel:
@@ -707,9 +686,8 @@ mod tests {
                 sample: 2_000,
                 algorithm_delay: 0,
             },
-            // Pin the plain 1..=N ramp so these tests are independent of
-            // the ambient WS_PREDICT environment.
-            predict: Some(false),
+            // The plain 1..=N ramp these tests assert on.
+            predict: false,
             ..WarpedSlicerConfig::default()
         }
     }
@@ -746,7 +724,7 @@ mod tests {
     #[test]
     fn predicted_windows_shape_the_profiling_ramp() {
         let cfg = WarpedSlicerConfig {
-            predict: Some(true),
+            predict: true,
             audit: true,
             ..fast_cfg()
         };
@@ -775,7 +753,7 @@ mod tests {
     #[test]
     fn predicted_windows_still_reach_a_co_location_decision() {
         let cfg = WarpedSlicerConfig {
-            predict: Some(true),
+            predict: true,
             ..fast_cfg()
         };
         let (_, c) = run_pair("IMG", "NN", 40_000, cfg);
@@ -906,6 +884,31 @@ mod tests {
         assert_eq!(audit.last_quotas(), Some(quotas.as_slice()));
         let replayed = audit.replay_water_fill().expect("complete decision");
         assert_eq!(&replayed.ctas, quotas);
+    }
+
+    #[test]
+    fn audit_on_and_off_make_bit_equal_decisions() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for predict in [false, true] {
+            let decide = |audit: bool| {
+                let cfg = WarpedSlicerConfig {
+                    audit,
+                    predict,
+                    ..fast_cfg()
+                };
+                let (_, c) = run_pair("IMG", "NN", 12_000, cfg);
+                c.decision().expect("decision made").clone()
+            };
+            let (on, off) = (decide(true), decide(false));
+            assert_eq!(on.quotas, off.quotas, "predict={predict}");
+            assert_eq!(on.spatial_fallback, off.spatial_fallback);
+            assert_eq!(on.decided_at, off.decided_at);
+            assert_eq!(bits(&on.predicted_perf), bits(&off.predicted_perf));
+            assert_eq!(on.measured_curves.len(), off.measured_curves.len());
+            for (a, b) in on.measured_curves.iter().zip(&off.measured_curves) {
+                assert_eq!(bits(a), bits(b), "predict={predict}");
+            }
+        }
     }
 
     #[test]

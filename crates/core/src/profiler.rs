@@ -333,7 +333,7 @@ pub struct BandwidthSample {
 /// `max_ctas[i]` bounds kernel `i`'s curve length.
 #[must_use]
 pub fn build_curves(samples: &[ProfileSample], max_ctas: &[u32]) -> Vec<Vec<f64>> {
-    build_curves_audited(samples, max_ctas, &mut DecisionAudit::default())
+    build_curves_audited(samples, max_ctas, &mut DecisionAudit::new(false))
 }
 
 /// [`build_curves`] with a decision-audit trail: every sample's Eq. 2-4

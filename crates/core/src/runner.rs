@@ -10,7 +10,7 @@
 //! `execute` is a pure function of it, batches of jobs run on the
 //! [`ws_exec::Pool`] with byte-identical results at any worker count; see
 //! [`execute_batch`]. The historical entry points ([`run_isolation`],
-//! [`run_with_cta_cap`], [`run_corun`]) are thin wrappers over `execute`.
+//! [`run_corun`]) are thin wrappers over `execute`.
 
 use gpu_sim::{Gpu, GpuConfig, KernelDesc, KernelId, SchedulerKind, StallBreakdown, TraceEvent};
 
@@ -318,9 +318,9 @@ impl SimJob {
         }
     }
 
-    /// The CTA-capped sampling job behind [`run_with_cta_cap`]: `desc`
-    /// alone with at most `cap` CTAs per SM, warmed up for a quarter of the
-    /// window and measured for `cycles`.
+    /// The CTA-capped sampling job behind Fig. 3 and every profiling
+    /// sweep: `desc` alone with at most `cap` CTAs per SM, warmed up for a
+    /// quarter of the window and measured for `cycles`.
     #[must_use]
     pub fn cta_cap(desc: &KernelDesc, cap: u32, cycles: u64, cfg: &RunConfig) -> Self {
         Self {
@@ -605,36 +605,10 @@ pub fn execute_batch(pool: &ws_exec::Pool, jobs: &[SimJob]) -> Vec<SimOutcome> {
     pool.run(jobs, |_, job| execute(job))
 }
 
-/// [`execute_batch`] with a per-completion observer: `observe` runs on the
-/// caller's thread once per finished simulation, in completion-count order
-/// (`seq` goes `1..=total` strictly increasing) with the finishing job's
-/// id attached — deterministic progress shape at any worker count.
-///
-/// # Panics
-///
-/// Re-raises the first job panic deterministically (lowest job index).
-#[must_use]
-pub fn execute_batch_observed(
-    pool: &ws_exec::Pool,
-    jobs: &[SimJob],
-    observe: impl FnMut(ws_exec::BatchProgress),
-) -> Vec<SimOutcome> {
-    let results = pool.try_run_observed(jobs, |_, job| execute(job), observe);
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(v) => out.push(v),
-            Err(p) => panic!("{p}"),
-        }
-    }
-    out
-}
-
 /// A streaming simulation session: submit [`SimJob`]s one at a time, drain
 /// [`SimOutcome`]s in finish order. This is the overlap primitive behind
-/// the pipelined profiling sweep — curve acceptance and water-filling for
-/// one kernel run on the drain thread while other kernels' sampling
-/// windows still simulate.
+/// the pipelined profiling sweep — curve acceptance for one kernel runs on
+/// the drain thread while other kernels' sampling windows still simulate.
 pub struct SimStream<'p> {
     inner: ws_exec::Stream<'p, SimOutcome>,
 }
@@ -656,18 +630,6 @@ impl<'p> SimStream<'p> {
         let job = job.clone();
         self.inner.submit(move || execute(&job))
     }
-
-    /// Jobs submitted so far.
-    #[must_use]
-    pub fn submitted(&self) -> usize {
-        self.inner.submitted()
-    }
-
-    /// Jobs submitted but not yet drained.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.inner.in_flight()
-    }
 }
 
 impl Iterator for SimStream<'_> {
@@ -686,14 +648,6 @@ impl Iterator for SimStream<'_> {
 #[must_use]
 pub fn run_isolation(desc: &KernelDesc, cfg: &RunConfig) -> IsolationResult {
     execute(&SimJob::isolation(desc, cfg)).into_isolation()
-}
-
-/// Runs `desc` with at most `cap` CTAs per SM for `cycles` cycles and
-/// returns the GPU-wide IPC — the primitive behind Fig. 3a/3b and the
-/// Oracle's per-point measurements.
-#[must_use]
-pub fn run_with_cta_cap(desc: &KernelDesc, cap: u32, cycles: u64, cfg: &RunConfig) -> f64 {
-    execute(&SimJob::cta_cap(desc, cap, cycles, cfg)).measured_ipc()
 }
 
 /// Result of a multiprogrammed run.
@@ -801,8 +755,8 @@ mod tests {
     fn cta_cap_primitive_reproduces_scaling() {
         let cfg = quick_cfg();
         let img = by_abbrev("IMG").unwrap().desc;
-        let low = run_with_cta_cap(&img, 1, 6_000, &cfg);
-        let high = run_with_cta_cap(&img, 8, 6_000, &cfg);
+        let ipc = |cap| execute(&SimJob::cta_cap(&img, cap, 6_000, &cfg)).measured_ipc();
+        let (low, high) = (ipc(1), ipc(8));
         assert!(high > 2.0 * low, "IMG scales with CTAs: {low} vs {high}");
     }
 

@@ -22,35 +22,19 @@
 //!    (`curve[hi] <= curve[hi-1]`), i.e. the knee is visibly behind us.
 //!
 //! When either check fails the kernel falls back to the full sweep
-//! (a second batch round in [`profile_curves_planned`]); the escape hatch
-//! `WS_PREDICT=0` disables pruning globally. Accepted gaps are filled by
+//! (a second round in [`profile_curves_planned`]); a [`SweepPlan::full`]
+//! plan, or `predict: false` on the online controller's
+//! [`WarpedSlicerConfig`](crate::policy::WarpedSlicerConfig), skips pruning
+//! altogether. Accepted gaps are filled by
 //! linear interpolation between sampled points — interpolated values are
 //! bounded by their sampled endpoints, so they can never introduce a new
 //! staircase step, which is what makes the accepted-pruned curve
 //! water-fill-equivalent to the full sweep.
 
-use std::sync::OnceLock;
-
 use crate::profiler::interpolate_counts;
 use crate::runner::{RunConfig, SimJob, SimStream};
 use gpu_sim::{GpuConfig, KernelDesc};
 use ws_analyze::predict_kernel;
-
-/// Whether prediction-driven sweep pruning is enabled by default, read
-/// once from the `WS_PREDICT` environment variable. On unless the
-/// variable is set to `0`, `false`, or `off` — the escape hatch for
-/// comparing against the unpruned Fig. 3 sweep.
-#[must_use]
-pub fn predict_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("WS_PREDICT") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off"
-        ),
-        Err(_) => true,
-    })
-}
 
 /// One kernel's profiling window over the CTA axis: sample CTA counts
 /// `lo..=hi` densely, guard the skipped tail, interpolate the rest.
@@ -254,7 +238,7 @@ pub struct PlannedSweep {
 /// outstanding: some `(kernel, cap)` result was delivered twice (or one
 /// was never submitted). Counting it with a saturating decrement would
 /// report a *spurious round completion* and re-run acceptance (or re-submit
-/// a fallback) on a half-sampled round, so every sweep drain loop treats it
+/// a fallback) on a half-sampled round, so the sweep drain loop treats it
 /// as this error instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DuplicateDelivery;
@@ -275,7 +259,7 @@ impl std::error::Error for DuplicateDelivery {}
 /// [`DuplicateDelivery`] when nothing is outstanding; `pending` is left
 /// unchanged. Callers fail a strict-invariant check on it and drop the
 /// duplicate in release builds.
-pub fn deliver(pending: &mut usize) -> Result<bool, DuplicateDelivery> {
+fn deliver(pending: &mut usize) -> Result<bool, DuplicateDelivery> {
     if *pending == 0 {
         return Err(DuplicateDelivery);
     }
@@ -586,12 +570,6 @@ mod tests {
             .expect("feasible")
         };
         assert_eq!(with(pruned).ctas, with(cache.to_vec()).ctas);
-    }
-
-    #[test]
-    fn predict_default_reads_env_once() {
-        // Whatever the ambient value, the gate is stable across calls.
-        assert_eq!(predict_default(), predict_default());
     }
 
     #[test]

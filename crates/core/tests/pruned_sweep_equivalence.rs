@@ -1,9 +1,8 @@
 //! End-to-end acceptance test for the prediction-driven sweep pruner: the
-//! pruned offline sweep (`WS_PREDICT=1` behaviour, [`SweepPlan`] built from
-//! `ws-predict` static curves) must reproduce the full sweep's
-//! (`WS_PREDICT=0`) water-filling quotas on every Fig. 3 pair of the
-//! Table II suite. Pruning is an optimization: it may skip simulation
-//! samples, never change a co-location decision.
+//! pruned offline sweep ([`SweepPlan`] built from `ws-predict` static
+//! curves) must reproduce the full sweep's water-filling quotas on every
+//! Fig. 3 pair of the Table II suite. Pruning is an optimization: it may
+//! skip simulation samples, never change a co-location decision.
 //!
 //! Both sweeps run at a short profiling window so the whole 30-pair check
 //! stays test-suite fast; the guards inside `accept_pruned` are what make
@@ -29,10 +28,10 @@ fn pruned_sweep_reproduces_full_sweep_quotas_on_every_fig3_pair() {
     let descs: Vec<&KernelDesc> = benches.iter().map(|b| &b.desc).collect();
     let maxes: Vec<u32> = benches.iter().map(Benchmark::max_ctas_baseline).collect();
 
-    // WS_PREDICT=0 analogue: the dense 1..=N sweep of Fig. 3.
+    // The dense 1..=N sweep of Fig. 3.
     let full = profile_curves(&pool, &descs, &maxes, WINDOW, &cfg);
 
-    // WS_PREDICT=1 analogue: windows around each predicted knee.
+    // The pruned plan: windows around each predicted knee.
     let plan = SweepPlan::from_predictions(&descs, &maxes, &gpu);
     assert!(
         plan.samples_saved() > 0,
