@@ -15,6 +15,7 @@
 //! writes machine-readable CSVs (fig3a/fig6/fig8) for external plotting.
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use ws_bench::experiments::{
     ablation, energy, fig1, fig10, fig2, fig3, fig5, fig6, fig7, fig8, fig9, large_config,
@@ -63,6 +64,20 @@ fn usage() -> String {
     "usage: experiments <table1|table2|table3|fig1|fig2|fig3a|fig3b|fig5|fig6|fig7|fig8|fig9|fig10a|fig10b|energy|large-config|overhead|ablation|all> [--cycles N] [--oracle] [--full] [--csv DIR]".to_string()
 }
 
+/// Runs `f`, then reports on stderr its wall-clock time and the number of
+/// pool jobs it completed.
+fn observe<T>(ctx: &ExperimentContext, label: &str, f: impl FnOnce(&ExperimentContext) -> T) -> T {
+    let jobs_before = ctx.pool().jobs_completed();
+    let start = Instant::now();
+    let out = f(ctx);
+    eprintln!(
+        "[{label}: {} jobs in {:.2}s]",
+        ctx.pool().jobs_completed() - jobs_before,
+        start.elapsed().as_secs_f64()
+    );
+    out
+}
+
 fn need_fig6(
     ctx: &ExperimentContext,
     cache: &mut Option<fig6::Fig6Data>,
@@ -74,7 +89,7 @@ fn need_fig6(
         } else {
             "fig6 (30 pairs x 4 policies)"
         };
-        *cache = Some(ctx.observe(label, |c| fig6::compute(c, oracle)));
+        *cache = Some(observe(ctx, label, |c| fig6::compute(c, oracle)));
     }
     cache.clone().expect("just filled")
 }
@@ -84,7 +99,8 @@ fn need_fig8(
     cache: &mut Option<Vec<fig8::TripleResult>>,
 ) -> Vec<fig8::TripleResult> {
     if cache.is_none() {
-        *cache = Some(ctx.observe("fig8 (15 triples x 4 policies)", fig8::compute));
+        let label = "fig8 (15 triples x 4 policies)";
+        *cache = Some(observe(ctx, label, fig8::compute));
     }
     cache.clone().expect("just filled")
 }
@@ -106,10 +122,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut ctx = ExperimentContext::new(opts.cycles);
-    // Every observed unit reports wall-clock and pool-job counts through
-    // one uniform channel instead of ad-hoc prints.
-    ctx.set_progress(Box::new(|p| eprintln!("[{p}]")));
+    let ctx = ExperimentContext::new(opts.cycles);
     eprintln!(
         "[pool: {} worker thread(s); set {} to override]",
         ctx.pool().threads(),
@@ -155,25 +168,23 @@ fn main() -> ExitCode {
             "table1" => println!("{}", table1::render(&ctx.cfg.gpu)),
             "table2" => println!(
                 "{}",
-                table2::render(&ctx.observe("table2", table2::compute))
+                table2::render(&observe(&ctx, "table2", table2::compute))
             ),
-            "fig1" => println!("{}", fig1::render(&ctx.observe("fig1", fig1::compute))),
+            "fig1" => println!("{}", fig1::render(&observe(&ctx, "fig1", fig1::compute))),
             "fig2" => println!("{}", fig2::render(&fig2::compute())),
             "fig3a" => {
-                let curves = ctx.observe("fig3a", |c| fig3::compute(c, window));
+                let curves = observe(&ctx, "fig3a", |c| fig3::compute(c, window));
                 write_csv(&opts.csv_dir, "fig3a", &fig3::csv(&curves));
                 println!("{}", fig3::render(&curves));
             }
-            "fig3b" => println!(
-                "{}",
-                fig3::render_sweet_spot(
-                    &ctx.observe("fig3b", |c| fig3::compute_sweet_spot(c, window))
-                )
-            ),
-            "fig5" => println!(
-                "{}",
-                fig5::render(&ctx.observe("fig5", |c| fig5::compute(c, 5_000, 10)), 5_000)
-            ),
+            "fig3b" => {
+                let spots = observe(&ctx, "fig3b", |c| fig3::compute_sweet_spot(c, window));
+                println!("{}", fig3::render_sweet_spot(&spots));
+            }
+            "fig5" => {
+                let data = observe(&ctx, "fig5", |c| fig5::compute(c, 5_000, 10));
+                println!("{}", fig5::render(&data, 5_000));
+            }
             "fig6" => {
                 let data = need_fig6(&ctx, &mut fig6_cache, opts.oracle);
                 write_csv(&opts.csv_dir, "fig6", &fig6::csv(&data));
@@ -208,29 +219,27 @@ fn main() -> ExitCode {
                 let data = need_fig6(&ctx, &mut fig6_cache, opts.oracle);
                 println!("{}", energy::render(&energy::compute(&data)));
             }
-            "fig10a" => println!(
-                "{}",
-                fig10::render_timing(
-                    &ctx.observe("fig10a", |c| fig10::compute_timing(c, &sweep_pairs))
-                )
-            ),
+            "fig10a" => {
+                let data = observe(&ctx, "fig10a", |c| fig10::compute_timing(c, &sweep_pairs));
+                println!("{}", fig10::render_timing(&data));
+            }
             "fig10b" => println!(
                 "{}",
-                fig10::render_schedulers(&ctx.observe("fig10b", |_| {
+                fig10::render_schedulers(&observe(&ctx, "fig10b", |_| {
                     fig10::compute_schedulers(opts.cycles, &sweep_pairs)
                 }))
             ),
             "large-config" => println!(
                 "{}",
-                large_config::render(&ctx.observe("large-config", |_| {
+                large_config::render(&observe(&ctx, "large-config", |_| {
                     large_config::compute(opts.cycles, &sweep_pairs)
                 }))
             ),
             "overhead" => println!("{}", overhead::render()),
-            "ablation" => println!(
-                "{}",
-                ablation::render(&ctx.observe("ablation", |c| ablation::compute(c, &sweep_pairs)))
-            ),
+            "ablation" => {
+                let data = observe(&ctx, "ablation", |c| ablation::compute(c, &sweep_pairs));
+                println!("{}", ablation::render(&data));
+            }
             other => {
                 eprintln!("unknown artifact: {other}\n{}", usage());
                 return ExitCode::FAILURE;

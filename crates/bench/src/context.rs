@@ -1,44 +1,16 @@
 //! Shared experiment state: run configuration, the deterministic execution
 //! pool, memoized isolation runs (every figure normalizes against the same
 //! per-benchmark targets, so the isolation runs are computed once and
-//! shared), and the progress sink the harness reports through.
+//! shared).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 use warped_slicer::{
     execute_batch, profile_curves, CorunResult, IsolationResult, PolicyKind, RunConfig, SimJob,
     WarpedSlicerConfig,
 };
 use ws_workloads::Benchmark;
-
-/// One progress report, emitted after an observed unit of work completes.
-#[derive(Debug, Clone)]
-pub struct Progress {
-    /// What finished (an artifact name like `"fig6"`).
-    pub label: String,
-    /// Wall-clock time the unit took.
-    pub wall: Duration,
-    /// Simulation jobs the pool completed during the unit.
-    pub jobs: u64,
-}
-
-impl std::fmt::Display for Progress {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} jobs in {:.2}s",
-            self.label,
-            self.jobs,
-            self.wall.as_secs_f64()
-        )
-    }
-}
-
-/// Callback receiving [`Progress`] events (see
-/// [`ExperimentContext::set_progress`]).
-pub type ProgressSink = Box<dyn Fn(&Progress) + Send + Sync>;
 
 /// Shared state for the experiment harness.
 ///
@@ -51,7 +23,6 @@ pub struct ExperimentContext {
     pub cfg: RunConfig,
     pool: ws_exec::Pool,
     iso: Mutex<HashMap<String, Arc<IsolationResult>>>,
-    progress: Option<ProgressSink>,
 }
 
 impl std::fmt::Debug for ExperimentContext {
@@ -59,7 +30,6 @@ impl std::fmt::Debug for ExperimentContext {
         f.debug_struct("ExperimentContext")
             .field("cfg", &self.cfg)
             .field("pool", &self.pool)
-            .field("progress", &self.progress.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -90,7 +60,6 @@ impl ExperimentContext {
             cfg,
             pool,
             iso: Mutex::new(HashMap::new()),
-            progress: None,
         }
     }
 
@@ -98,27 +67,6 @@ impl ExperimentContext {
     #[must_use]
     pub fn pool(&self) -> &ws_exec::Pool {
         &self.pool
-    }
-
-    /// Installs a progress sink; [`Self::observe`] reports through it.
-    pub fn set_progress(&mut self, sink: ProgressSink) {
-        self.progress = Some(sink);
-    }
-
-    /// Runs `f`, then reports its wall-clock time and the number of pool
-    /// jobs it completed to the progress sink (if one is installed).
-    pub fn observe<T>(&self, label: &str, f: impl FnOnce(&Self) -> T) -> T {
-        let jobs_before = self.pool.jobs_completed();
-        let start = Instant::now();
-        let out = f(self);
-        if let Some(sink) = &self.progress {
-            sink(&Progress {
-                label: label.to_string(),
-                wall: start.elapsed(),
-                jobs: self.pool.jobs_completed() - jobs_before,
-            });
-        }
-        out
     }
 
     /// The Warped-Slicer policy with profile phases scaled to this
@@ -292,26 +240,5 @@ mod tests {
             assert_eq!(x.finish_cycle, y.finish_cycle);
             assert!((x.combined_ipc - y.combined_ipc).abs() < f64::EPSILON);
         }
-    }
-
-    #[test]
-    fn observe_reports_jobs_and_wall_clock() {
-        let mut ctx = ExperimentContext::new(2_000);
-        let events = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&events);
-        ctx.set_progress(Box::new(move |p| {
-            sink.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(p.clone());
-        }));
-        let img = by_abbrev("IMG").unwrap();
-        ctx.observe("iso", |c| {
-            let _ = c.isolation(&img);
-        });
-        let events = events.lock().unwrap_or_else(PoisonError::into_inner);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].label, "iso");
-        assert_eq!(events[0].jobs, 1);
-        assert!(events[0].to_string().contains("iso: 1 jobs"));
     }
 }

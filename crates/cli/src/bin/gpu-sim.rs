@@ -51,6 +51,7 @@
 //! gpu-sim store clear FILE [--capacity N]
 //! ```
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use gpu_sim::{AccessPattern, Gpu, GpuConfig, KernelDesc, ProgramSpec, SchedulerKind, StallReason};
@@ -430,11 +431,26 @@ fn load_or_new_store(path: &str, capacity: usize) -> Result<CurveStore, String> 
 }
 
 /// Validate and write a store back to its JSONL file.
+///
+/// The text goes to a sibling temp file that is synced and then renamed
+/// over `path`, so a crash mid-write leaves either the old file or the new
+/// one, never a truncated store that fails to load.
 fn write_store(path: &str, store: &CurveStore) -> Result<usize, String> {
     let text = store.to_jsonl();
     let records =
         validate_jsonl(&text).map_err(|e| format!("internal: store file invalid: {e}"))?;
-    std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    let tmp = format!("{path}.tmp");
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(text.as_bytes())?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = written {
+        // Best effort: the error that matters is the one being returned.
+        let _ = std::fs::remove_file(&tmp);
+        return Err(format!("cannot write {path}: {e}"));
+    }
     Ok(records)
 }
 

@@ -78,8 +78,8 @@ pub use profiler::{
 pub use resources::ResourceVec;
 pub use runner::{
     collect_stats, execute, execute_batch, run_corun, run_isolation, AggregateStats, CacheStats,
-    CorunResult, IsolationResult, RunConfig, SimJob, SimOutcome, SimStream, StopCondition,
-    TraceOptions, UtilizationStats,
+    CorunResult, IsolationResult, RunConfig, SimJob, SimOutcome, StopCondition, TraceOptions,
+    UtilizationStats,
 };
 pub use scaling::{psi, scale_ipc, scale_ipc_audited, ScaleOutcome};
 pub use store::{CurveKey, CurveStore, KernelSignature, SharedCurveStore, StoreEntry, StoreStats};

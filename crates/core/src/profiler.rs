@@ -733,6 +733,7 @@ mod tests {
         assert!(err.to_string().contains("kernel 1"), "{err}");
     }
 
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     #[test]
     #[should_panic(expected = "plans no CTA caps")]
     fn build_windowed_panics_on_empty_window_under_strict_invariants() {
@@ -742,5 +743,20 @@ mod tests {
             max: 8,
         };
         let _ = ProfilePlan::build_windowed(16, &[SweepWindow::full(8), empty]);
+    }
+
+    #[cfg(not(any(debug_assertions, feature = "strict-invariants")))]
+    #[test]
+    fn build_windowed_widens_an_empty_window_to_the_full_ramp_in_release() {
+        let empty = SweepWindow {
+            lo: 9,
+            hi: 8,
+            max: 8,
+        };
+        let full = SweepWindow::full(8);
+        assert_eq!(
+            ProfilePlan::build_windowed(16, &[full, empty]),
+            ProfilePlan::build_windowed(16, &[full, full])
+        );
     }
 }

@@ -605,43 +605,6 @@ pub fn execute_batch(pool: &ws_exec::Pool, jobs: &[SimJob]) -> Vec<SimOutcome> {
     pool.run(jobs, |_, job| execute(job))
 }
 
-/// A streaming simulation session: submit [`SimJob`]s one at a time, drain
-/// [`SimOutcome`]s in finish order. This is the overlap primitive behind
-/// the pipelined profiling sweep — curve acceptance for one kernel runs on
-/// the drain thread while other kernels' sampling windows still simulate.
-pub struct SimStream<'p> {
-    inner: ws_exec::Stream<'p, SimOutcome>,
-}
-
-impl<'p> SimStream<'p> {
-    /// Opens a stream on `pool`. Jobs are numbered from 0 per stream.
-    #[must_use]
-    pub fn new(pool: &'p ws_exec::Pool) -> Self {
-        Self {
-            inner: pool.stream(),
-        }
-    }
-
-    /// Submits one simulation; returns its stream-local id. (Named
-    /// `submit_job` rather than `submit` so the xtask call graph — which
-    /// resolves method calls by name — never links the memory subsystem's
-    /// tick-path `submit` to this entry point into whole-GPU construction.)
-    pub fn submit_job(&mut self, job: &SimJob) -> ws_exec::JobId {
-        let job = job.clone();
-        self.inner.submit(move || execute(&job))
-    }
-}
-
-impl Iterator for SimStream<'_> {
-    type Item = (ws_exec::JobId, ws_exec::JobResult<SimOutcome>);
-
-    /// Blocks for the next finished simulation; `None` once every
-    /// submitted job has been delivered (more may be submitted after).
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-}
-
 /// Runs `desc` alone (Left-Over single-kernel dispatch) for
 /// `cfg.isolation_cycles` and records its instruction target and solo
 /// statistics.

@@ -663,6 +663,7 @@ mod tests {
             .contains("hex"));
     }
 
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     #[test]
     #[should_panic(expected = "round-trip")]
     fn non_finite_curves_are_rejected_at_insert() {
@@ -670,6 +671,17 @@ mod tests {
         let mut e = entry(1.0);
         e.perf.push(f64::NAN);
         let _ = s.insert(key(1), e);
+    }
+
+    #[cfg(not(any(debug_assertions, feature = "strict-invariants")))]
+    #[test]
+    fn non_finite_curves_are_dropped_at_insert_in_release() {
+        let mut s = CurveStore::new(4);
+        let mut e = entry(1.0);
+        e.perf.push(f64::NAN);
+        assert!(!s.insert(key(1), e));
+        assert_eq!(s.len(), 0);
+        assert_eq!(s.stats(), StoreStats::default());
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! water-fill-equivalent to the full sweep.
 
 use crate::profiler::interpolate_counts;
-use crate::runner::{RunConfig, SimJob, SimStream};
+use crate::runner::{execute, RunConfig, SimJob};
 use gpu_sim::{GpuConfig, KernelDesc};
 use ws_analyze::predict_kernel;
 
@@ -310,7 +310,7 @@ impl KernelProgress {
 /// `curves[i]` has length `max(1, windows[i].max)`.
 ///
 /// The sweep is **pipelined**, not staged: all planned samples go into one
-/// [`SimStream`], acceptance for a kernel runs on the drain thread the
+/// [`ws_exec::Stream`], acceptance for a kernel runs on the drain thread the
 /// moment its last window sample finishes, and a rejected kernel's
 /// full-sweep fallback jobs are re-submitted into the same stream
 /// immediately — no global barrier between the rounds, so kernel A's
@@ -336,7 +336,7 @@ pub fn profile_curves_planned(
         plan.windows.len(),
         "one sweep window per kernel"
     );
-    let mut stream = SimStream::new(pool);
+    let mut stream = pool.stream();
     // tags[job id] = (kernel index, cta cap) — stream ids are sequential.
     let mut tags: Vec<(usize, u32)> = Vec::new();
     let mut kernels: Vec<KernelProgress> = vec![KernelProgress::default(); descs.len()];
@@ -347,7 +347,8 @@ pub fn profile_curves_planned(
         }
         for &cap in &caps {
             tags.push((i, cap));
-            stream.submit_job(&SimJob::cta_cap(desc, cap, window, cfg));
+            let job = SimJob::cta_cap(desc, cap, window, cfg);
+            stream.submit(move || execute(&job));
         }
     }
     let mut samples_run = tags.len();
@@ -401,7 +402,8 @@ pub fn profile_curves_planned(
                 for cap in 1..=w.max.max(1) {
                     if !have.contains(&cap) {
                         tags.push((i, cap));
-                        stream.submit_job(&SimJob::cta_cap(desc, cap, window, cfg));
+                        let job = SimJob::cta_cap(desc, cap, window, cfg);
+                        stream.submit(move || execute(&job));
                         missing += 1;
                     }
                 }
@@ -593,6 +595,7 @@ mod tests {
         assert!(k.deliver(), "second result completes the round");
     }
 
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     #[test]
     #[should_panic(expected = "duplicate delivery")]
     fn duplicate_delivery_is_a_checked_invariant() {
@@ -604,5 +607,17 @@ mod tests {
         // A second delivery of the same (kernel, cap) result must not be
         // reported as another round completion.
         let _ = k.deliver();
+    }
+
+    #[cfg(not(any(debug_assertions, feature = "strict-invariants")))]
+    #[test]
+    fn duplicate_delivery_is_dropped_in_release() {
+        let mut k = KernelProgress {
+            pending: 1,
+            ..KernelProgress::default()
+        };
+        assert!(k.deliver());
+        assert!(!k.deliver(), "a duplicate is not another round completion");
+        assert_eq!(k.pending, 0);
     }
 }

@@ -29,17 +29,15 @@
 //! may vary run to run, but results are keyed by submission index and
 //! every job is pure.
 //!
-//! Two submission surfaces share the same workers:
-//!
-//! * the **batch** API ([`Pool::run`], [`Pool::try_run`],
-//!   [`Pool::try_run_observed`]) — submit a slice of jobs, block until all
-//!   results are collected in submission order;
-//! * the **streaming** API ([`Pool::stream`], [`Pool::submit`]) — submit
-//!   jobs one at a time and drain completions *as they finish*, so
-//!   downstream work (curve acceptance) can overlap with
-//!   simulation still in flight. See `profile_curves_planned` in
-//!   `warped-slicer`, whose planned-sweep drain accepts each kernel's
-//!   window and resubmits its fallback round while other kernels simulate.
+//! Work reaches the workers through one surface, a [`Stream`] opened with
+//! [`Pool::stream`]: submit jobs one at a time and drain completions *as
+//! they finish*, so downstream work (curve acceptance) can overlap with
+//! simulation still in flight. See `profile_curves_planned` in
+//! `warped-slicer`, whose planned-sweep drain accepts each kernel's window
+//! and resubmits its fallback round while other kernels simulate. The
+//! batch calls [`Pool::run`] and [`Pool::try_run`] are one such drain: they
+//! submit a slice of jobs to a stream and block until every result sits in
+//! its submission-order slot.
 //!
 //! The worker count comes from `WS_EXEC_THREADS` (default: the machine's
 //! available parallelism; `1` forces serial execution). A panicking job
@@ -58,7 +56,6 @@
 //! pins both invariants.
 
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -96,22 +93,6 @@ impl std::error::Error for JobPanic {}
 
 /// Per-job result of a fallible batch.
 pub type JobResult<R> = Result<R, JobPanic>;
-
-/// Progress report for one completed job of an observed batch.
-///
-/// Reports are delivered on the **caller's thread**, one per completion,
-/// with `seq` counting completions `1..=total` — so observation order is
-/// deterministic (strictly increasing `seq`) at any worker count even
-/// though `id` reflects the actual (scheduling-dependent) finish order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchProgress {
-    /// 1-based completion count (the `seq`-th job to finish).
-    pub seq: usize,
-    /// Total jobs in the batch.
-    pub total: usize,
-    /// The job that finished.
-    pub id: JobId,
-}
 
 /// Parses a `WS_EXEC_THREADS`-style value into a worker count.
 ///
@@ -195,7 +176,7 @@ impl Core {
     /// on the condvar while no work is queued. Shutdown wins over queued
     /// work, so a pool dropped with jobs still queued exits promptly; the
     /// tasks it strands are discarded by [`Pool`]'s `Drop` (nothing can be
-    /// waiting on them — streams and handles borrow the pool).
+    /// waiting on them — streams borrow the pool).
     fn worker_loop(&self, home: usize) {
         loop {
             if let Some(task) = self.find_task(home) {
@@ -323,147 +304,51 @@ impl Pool {
         }
     }
 
-    /// Submits one job and returns a handle joined independently of any
-    /// batch. On a serial pool the job runs inline before this returns.
-    pub fn submit<R, F>(&self, f: F) -> JobHandle<'_, R>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        let id = JobId(0);
-        match &self.core {
-            None => {
-                let r = contain(id, f);
-                self.completed.fetch_add(1, Ordering::Relaxed);
-                JobHandle {
-                    id,
-                    state: HandleState::Ready(r),
-                    _pool: PhantomData,
-                }
-            }
-            Some(core) => {
-                let (tx, rx) = mpsc::channel();
-                let completed = Arc::clone(&self.completed);
-                core.push(Box::new(move || {
-                    let r = contain(id, f);
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    // A dropped handle discards the result on purpose.
-                    let _ = tx.send(r);
-                }));
-                JobHandle {
-                    id,
-                    state: HandleState::Pending(rx),
-                    _pool: PhantomData,
-                }
-            }
-        }
-    }
-
     /// Runs `f` over every job in `jobs`, returning one result per job **in
     /// submission order**, with per-job panic containment.
     ///
     /// `f` receives the job's [`JobId`] and a reference to its description.
-    /// Results are collected into pre-sized slots keyed by job index — one
-    /// writer per slot, on the caller's thread, no locks — so the output is
-    /// identical for any worker count. A panic inside `f` is caught and
-    /// surfaced as `Err(JobPanic)` for that job only; the batch and the
-    /// process continue.
+    /// The jobs go through one [`Stream`], whose ids count from 0, so a
+    /// job's id is its index in `jobs`. Completions are collected into
+    /// pre-sized slots keyed by that index — one writer per slot, on the
+    /// caller's thread, no locks — so the output is identical for any
+    /// worker count. A panic inside `f` is caught and surfaced as
+    /// `Err(JobPanic)` for that job only; the batch and the process
+    /// continue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the executor's delivery invariant breaks (a result slot
+    /// filled twice, an id outside the batch, or the stream ending with a
+    /// slot never filled) — these indicate a bug in the executor itself,
+    /// never in `f`.
     pub fn try_run<J, R, F>(&self, jobs: &[J], f: F) -> Vec<JobResult<R>>
     where
         J: Clone + Send + 'static,
         R: Send + 'static,
         F: Fn(JobId, &J) -> R + Send + Sync + 'static,
     {
-        self.try_run_observed(jobs, f, |_| {})
-    }
-
-    /// [`Pool::try_run`] with a per-completion progress observer.
-    ///
-    /// `observe` runs on the caller's thread once per finished job, in
-    /// completion-count order ([`BatchProgress::seq`] goes `1..=total`
-    /// strictly increasing), carrying the finishing job's [`JobId`]. That
-    /// makes progress reporting deterministic in *shape* at any worker
-    /// count; only the `id` field reflects actual scheduling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the executor's delivery invariant breaks (a result slot
-    /// filled twice, never filled, or workers gone with jobs outstanding)
-    /// — these indicate a bug in the executor itself, never in `f`.
-    pub fn try_run_observed<J, R, F, O>(
-        &self,
-        jobs: &[J],
-        f: F,
-        mut observe: O,
-    ) -> Vec<JobResult<R>>
-    where
-        J: Clone + Send + 'static,
-        R: Send + 'static,
-        F: Fn(JobId, &J) -> R + Send + Sync + 'static,
-        O: FnMut(BatchProgress),
-    {
         let total = jobs.len();
-        let Some(core) = &self.core else {
-            // Serial fast path: run inline on the caller's thread. This is
-            // bit-for-bit the pre-pool behaviour (same thread, same order).
-            return jobs
-                .iter()
-                .enumerate()
-                .map(|(i, job)| {
-                    let id = JobId(i);
-                    let r = contain(id, || f(id, job));
-                    self.completed.fetch_add(1, Ordering::Relaxed);
-                    observe(BatchProgress {
-                        seq: i + 1,
-                        total,
-                        id,
-                    });
-                    r
-                })
-                .collect();
-        };
         let f = Arc::new(f);
-        let (tx, rx) = mpsc::channel::<(JobId, JobResult<R>)>();
+        let mut stream = self.stream();
         for (i, job) in jobs.iter().enumerate() {
-            let id = JobId(i);
-            let job = job.clone();
-            let f = Arc::clone(&f);
-            let tx = tx.clone();
-            let completed = Arc::clone(&self.completed);
-            core.push(Box::new(move || {
-                let r = contain(id, move || f(id, &job));
-                completed.fetch_add(1, Ordering::Relaxed);
-                // The batch collector below outlives every task it
-                // submitted, so this send only fails if the collector
-                // already panicked — nothing left to notify either way.
-                let _ = tx.send((id, r));
-            }));
+            let (f, job) = (Arc::clone(&f), job.clone());
+            stream.submit(move || f(JobId(i), &job));
         }
-        drop(tx);
-        // Pre-sized result slots, written only by this (caller) thread as
-        // completions drain — one writer per index, no locks.
         let mut slots: Vec<Option<JobResult<R>>> = (0..total).map(|_| None).collect();
-        for seq in 1..=total {
-            let (id, r) = match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => panic!(
-                    "ws-exec invariant violated: workers disconnected with {} of {total} jobs outstanding",
-                    total - (seq - 1)
-                ),
-            };
+        for (id, r) in stream {
             match slots.get_mut(id.0) {
                 Some(slot @ None) => *slot = Some(r),
                 Some(Some(_)) => panic!("ws-exec invariant violated: {id} completed twice"),
                 None => panic!("ws-exec invariant violated: unknown {id} in a batch of {total}"),
             }
-            observe(BatchProgress { seq, total, id });
         }
         slots
             .into_iter()
             .enumerate()
             .map(|(i, slot)| {
                 slot.unwrap_or_else(|| {
-                    panic!("ws-exec invariant violated: job#{i} never delivered a result")
+                    panic!("ws-exec invariant violated: stream ended before job#{i} delivered")
                 })
             })
             .collect()
@@ -496,8 +381,8 @@ impl Pool {
 
 impl Drop for Pool {
     /// Signals shutdown, joins every worker, and discards tasks still
-    /// queued (no [`Stream`] or [`JobHandle`] can outlive the pool — they
-    /// borrow it — so no result is ever silently lost to a waiter).
+    /// queued (no [`Stream`] can outlive the pool — it borrows it — so no
+    /// result is ever silently lost to a waiter).
     fn drop(&mut self) {
         let Some(core) = self.core.take() else { return };
         {
@@ -518,62 +403,6 @@ impl Drop for Pool {
             // Workers contain job panics with catch_unwind, so a panic
             // escaping the worker loop is an executor bug: surface it.
             std::panic::resume_unwind(payload);
-        }
-    }
-}
-
-/// Result plumbing for a single-job [`JobHandle`].
-enum HandleState<R> {
-    /// Serial pool: the job already ran inline.
-    Ready(JobResult<R>),
-    /// Parallel pool: the result arrives on this channel.
-    Pending(mpsc::Receiver<JobResult<R>>),
-}
-
-/// A handle to one job submitted with [`Pool::submit`]; join it to get the
-/// result. Borrows the pool, so the pool cannot shut down underneath it.
-pub struct JobHandle<'p, R> {
-    id: JobId,
-    state: HandleState<R>,
-    _pool: PhantomData<&'p Pool>,
-}
-
-impl<R> JobHandle<'_, R> {
-    /// The submitted job's id (always `job#0` for single submissions).
-    #[must_use]
-    pub fn id(&self) -> JobId {
-        self.id
-    }
-
-    /// Blocks until the job finishes, with panic containment.
-    ///
-    /// # Panics
-    ///
-    /// Panics only on an executor invariant violation (the worker dropped
-    /// the result channel without sending) — a job panic comes back as
-    /// `Err(JobPanic)`.
-    pub fn try_join(self) -> JobResult<R> {
-        match self.state {
-            HandleState::Ready(r) => r,
-            HandleState::Pending(rx) => match rx.recv() {
-                Ok(r) => r,
-                Err(_) => panic!(
-                    "ws-exec invariant violated: result channel for {} closed without a result",
-                    self.id
-                ),
-            },
-        }
-    }
-
-    /// Blocks until the job finishes, re-raising its panic if it failed.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the job's panic on the caller's thread.
-    pub fn join(self) -> R {
-        match self.try_join() {
-            Ok(v) => v,
-            Err(p) => panic!("{p}"),
         }
     }
 }
@@ -623,12 +452,6 @@ impl<R: Send + 'static> Stream<'_, R> {
             }
         }
         id
-    }
-
-    /// Jobs submitted so far.
-    #[must_use]
-    pub fn submitted(&self) -> usize {
-        self.submitted
     }
 
     /// Jobs submitted but not yet delivered via [`Stream::next`].
@@ -833,7 +656,6 @@ mod tests {
                 let weight = if j == 3 { 40_000 } else { 2_000 };
                 stream.submit(move || spin(weight).wrapping_add(j));
             }
-            assert_eq!(stream.submitted(), 40);
             let mut by_id: Vec<Option<u64>> = vec![None; 40];
             for (id, r) in stream.by_ref() {
                 let slot = by_id
@@ -876,48 +698,22 @@ mod tests {
     }
 
     #[test]
-    fn single_submit_handle_joins_inline_and_parallel() {
-        for threads in [1, 4] {
-            let pool = Pool::new(threads);
-            let handle = pool.submit(|| spin(2_000));
-            assert_eq!(handle.id(), JobId(0));
-            assert_eq!(handle.join(), spin(2_000));
+    fn serial_batch_runs_inline_in_submission_order() {
+        let caller = std::thread::current().id();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&order);
+        let jobs: Vec<usize> = (0..32).collect();
+        let results = Pool::new(1).try_run(&jobs, move |id, _| {
+            log.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(id.0);
+            std::thread::current().id()
+        });
+        for (i, r) in results.iter().enumerate() {
+            assert_eq!(r.as_ref().ok(), Some(&caller), "job {i} left the caller");
         }
-        let pool = Pool::new(4);
-        let failing = pool.submit(|| -> u8 { panic!("handle job exploded") });
-        match failing.try_join() {
-            Err(p) => assert!(p.message.contains("exploded")),
-            Ok(v) => panic!("expected a contained panic, got {v}"),
-        }
-    }
-
-    #[test]
-    fn progress_is_observed_in_completion_count_order() {
-        // Satellite pin: at 1 and at 8 workers the observer sees seq ==
-        // 1..=n; at 1 worker ids arrive in submission order; at 8 workers
-        // the id multiset matches the submissions even under heavy skew.
-        let jobs: Vec<u64> = (0..32)
-            .map(|i| if i == 2 { 40_000 } else { 2_000 })
-            .collect();
-        for threads in [1usize, 8] {
-            let pool = Pool::new(threads);
-            let mut seen: Vec<BatchProgress> = Vec::new();
-            let results = pool.try_run_observed(&jobs, |_, &j| spin(j), |p| seen.push(p));
-            assert_eq!(results.len(), jobs.len());
-            let seqs: Vec<usize> = seen.iter().map(|p| p.seq).collect();
-            assert_eq!(
-                seqs,
-                (1..=jobs.len()).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-            assert!(seen.iter().all(|p| p.total == jobs.len()));
-            let mut ids: Vec<usize> = seen.iter().map(|p| p.id.0).collect();
-            if threads == 1 {
-                assert_eq!(ids, (0..jobs.len()).collect::<Vec<_>>());
-            }
-            ids.sort_unstable();
-            assert_eq!(ids, (0..jobs.len()).collect::<Vec<_>>());
-        }
+        let order = order.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(*order, jobs);
     }
 
     #[test]

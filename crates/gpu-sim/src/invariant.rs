@@ -36,10 +36,16 @@ macro_rules! strict_assert {
 
 #[cfg(test)]
 mod tests {
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     #[test]
     fn enabled_in_test_builds() {
-        // Tests always build with debug_assertions.
         assert!(super::enabled());
+    }
+
+    #[cfg(not(any(debug_assertions, feature = "strict-invariants")))]
+    #[test]
+    fn disabled_in_plain_release_builds() {
+        assert!(!super::enabled());
     }
 
     #[test]
@@ -47,9 +53,16 @@ mod tests {
         strict_assert!(1 + 1 == 2, "arithmetic holds");
     }
 
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     #[test]
     #[should_panic(expected = "deliberate")]
     fn failing_assertion_panics_when_enabled() {
+        strict_assert!(false, "deliberate");
+    }
+
+    #[cfg(not(any(debug_assertions, feature = "strict-invariants")))]
+    #[test]
+    fn failing_assertion_is_a_no_op_when_disabled() {
         strict_assert!(false, "deliberate");
     }
 }
