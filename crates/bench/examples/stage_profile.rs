@@ -7,7 +7,9 @@
 //! ```
 //!
 //! Runs on one worker so wall time equals simulation thread time, then
-//! prints each tick stage's share of that wall time. The remainder
+//! prints each tick stage's share of that wall time: the scoreboard
+//! advance, fetch, issue, LSU, finalize, memory tick and fill
+//! application (`gpu_sim::stage_time::StageTimes::rows`). The remainder
 //! ("other") is dispatch, controllers, fast-forward probes and the
 //! harness. Reading the clock around every stage costs time of its own,
 //! so the shares are a profile, not a throughput figure.

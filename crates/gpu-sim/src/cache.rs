@@ -38,6 +38,9 @@ pub enum ProbeResult {
 pub struct SetAssocCache {
     sets: Vec<CacheLine>,
     num_sets: u64,
+    /// `log2(num_sets)` when it is a power of two, so a probe splits the
+    /// line address with a mask and a shift instead of a division.
+    set_bits: Option<u32>,
     assoc: usize,
     clock: u64,
     accesses: u64,
@@ -69,6 +72,9 @@ impl SetAssocCache {
                 (lines) as usize
             ],
             num_sets,
+            set_bits: num_sets
+                .is_power_of_two()
+                .then_some(num_sets.trailing_zeros()),
             assoc: assoc as usize,
             clock: 0,
             accesses: 0,
@@ -76,18 +82,22 @@ impl SetAssocCache {
         }
     }
 
-    fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let set = (line % self.num_sets) as usize;
-        set * self.assoc..(set + 1) * self.assoc
+    /// The ways of `line`'s set and the tag it is stored under.
+    fn locate(&self, line: LineAddr) -> (std::ops::Range<usize>, u64) {
+        let (set, tag) = match self.set_bits {
+            Some(bits) => (line & (self.num_sets - 1), line >> bits),
+            None => (line % self.num_sets, line / self.num_sets),
+        };
+        let set = set as usize;
+        (set * self.assoc..(set + 1) * self.assoc, tag)
     }
 
     /// Probes for `line`, updating LRU on a hit and recording statistics.
     pub fn access(&mut self, line: LineAddr) -> ProbeResult {
         self.clock += 1;
         self.accesses += 1;
-        let tag = line / self.num_sets;
         let clock = self.clock;
-        let range = self.set_range(line);
+        let (range, tag) = self.locate(line);
         for way in &mut self.sets[range] {
             if way.valid && way.tag == tag {
                 way.last_use = clock;
@@ -101,19 +111,16 @@ impl SetAssocCache {
     /// Probes without touching LRU or statistics.
     #[must_use]
     pub fn peek(&self, line: LineAddr) -> bool {
-        let tag = line / self.num_sets;
-        self.sets[self.set_range(line)]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        let (range, tag) = self.locate(line);
+        self.sets[range].iter().any(|w| w.valid && w.tag == tag)
     }
 
     /// Installs `line`, evicting the LRU way if the set is full. Installing
     /// an already-present line refreshes its LRU position.
     pub fn fill(&mut self, line: LineAddr) {
         self.clock += 1;
-        let tag = line / self.num_sets;
         let clock = self.clock;
-        let range = self.set_range(line);
+        let (range, tag) = self.locate(line);
         let set = &mut self.sets[range];
         if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
             way.last_use = clock;
@@ -253,6 +260,21 @@ mod tests {
         assert!(!c.peek(1));
         assert_eq!(c.accesses(), 0);
         assert_eq!(c.misses(), 0);
+    }
+
+    #[test]
+    fn non_power_of_two_set_count_maps_lines_by_modulo() {
+        // 12 lines x 4 ways: 3 sets, so lines split with div/mod.
+        let mut c = SetAssocCache::new(12 * 128, 4, 128);
+        for line in [0, 3, 6, 9, 1] {
+            c.fill(line);
+        }
+        // Set 0 (lines 0, 3, 6, 9) is full: 12 evicts its LRU way, 0.
+        c.fill(12);
+        assert!(!c.peek(0));
+        for line in [3, 6, 9, 12, 1] {
+            assert!(c.peek(line), "line {line} evicted");
+        }
     }
 
     #[test]

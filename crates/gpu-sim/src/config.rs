@@ -58,6 +58,25 @@ impl SmConfig {
     pub fn max_warps(&self) -> u32 {
         self.max_threads / Self::WARP_SIZE
     }
+
+    /// The longest wait, in cycles, a warp sets itself at issue or fetch:
+    /// an ALU, SFU, shared-memory or L1-hit result latency, or a fetch
+    /// that misses the i-cache. Sizes the scoreboard's wait wheels
+    /// ([`crate::WarpTable::new`]); longer waits (shared-memory bank
+    /// conflicts) stay exact on a slower path.
+    #[must_use]
+    pub fn max_wait(&self) -> u32 {
+        [
+            self.alu_latency,
+            self.sfu_latency,
+            self.shmem_latency,
+            self.l1_hit_latency,
+            self.fetch_latency.saturating_add(self.icache_miss_penalty),
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(0)
+    }
 }
 
 /// L1 data cache geometry (per SM).

@@ -55,6 +55,15 @@ struct LsuOp {
     cycles_left: u32,
 }
 
+/// What one warp scheduler does in a cycle, from [`Sm::classify`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SchedulerCycle {
+    /// These slots (never none) can issue.
+    Issues(u64),
+    /// Nothing can issue; the cycle is charged to this reason.
+    Stalls(StallReason),
+}
+
 #[derive(Debug, Default)]
 struct UnitSet {
     alu_busy_until: u64,
@@ -108,6 +117,12 @@ pub struct Sm {
     /// Per-scheduler ownership masks (slot `s` belongs to scheduler
     /// `s % num_schedulers`); precomputed at construction.
     sched_masks: Vec<u64>,
+    /// Initiation intervals: cycles one warp instruction occupies the
+    /// ALU, SFU or LSU (`WARP_SIZE / width`), precomputed so no issue
+    /// divides.
+    alu_ii: u64,
+    sfu_ii: u64,
+    lsu_ii: u32,
     /// Bit `i` set while scheduler `i`'s LSU pipeline holds an op, so the
     /// LSU stage (and horizon) can skip the unit walk when idle.
     lsu_busy_mask: u64,
@@ -131,6 +146,7 @@ impl Sm {
             .map(|s| SchedulerState::new(scheduler, s, num_sched, max_warps))
             .collect();
         let sched_masks = schedulers.iter().map(|s| s.owned_mask(max_warps)).collect();
+        let warp_size = crate::config::SmConfig::WARP_SIZE;
         Self {
             id,
             cfg: cfg.clone(),
@@ -153,8 +169,11 @@ impl Sm {
             waiter_buf: Vec::with_capacity(8),
             fetch_ptr: 0,
             last_tick: None,
-            table: WarpTable::new(max_warps),
+            table: WarpTable::new(max_warps, cfg.sm.max_wait()),
             sched_masks,
+            alu_ii: u64::from(warp_size / cfg.sm.simt_width),
+            sfu_ii: u64::from(warp_size / cfg.sm.sfu_width),
+            lsu_ii: warp_size / cfg.sm.lsu_width,
             lsu_busy_mask: 0,
             horizon: 0,
             horizon_valid: false,
@@ -455,11 +474,11 @@ impl Sm {
             );
         }
         self.last_tick = Some(now);
-        self.table.advance(now);
         #[cfg(feature = "stage-timing")]
         if now.is_multiple_of(crate::stage_time::STRIDE) {
             self.stage.0.sm_ticks += crate::stage_time::STRIDE;
         }
+        stage_timed!(self.stage, now, scoreboard_ns, self.table.advance(now));
         let fetched = stage_timed!(self.stage, now, fetch_ns, self.fetch_stage(now, descs));
         let issued = stage_timed!(
             self.stage,
@@ -487,10 +506,15 @@ impl Sm {
     }
 
     fn fetch_stage(&mut self, now: u64, descs: &[KernelDesc]) -> bool {
-        let n = self.warps.len();
         // The round-robin pointer advances whether or not anything fetched,
-        // so the fast-forward bulk replay stays bit-exact.
-        self.fetch_ptr = (self.fetch_ptr + 1) % n.max(1);
+        // so the fast-forward bulk replay stays bit-exact. This cycle's
+        // scan starts where the pointer stood.
+        let start = self.fetch_ptr;
+        self.fetch_ptr = if start + 1 >= self.warps.len() {
+            0
+        } else {
+            start + 1
+        };
         // Only slots whose fetch port is open can fetch; every one of them
         // succeeds (the port, a free i-buffer entry and unfetched body are
         // all folded into `fetch_at`).
@@ -502,7 +526,6 @@ impl Sm {
         let miss_penalty = self.cfg.sm.icache_miss_penalty;
         let mut budget = self.cfg.sm.fetch_width;
         // Round-robin over warp slots so no warp starves the shared port.
-        let start = (self.fetch_ptr + n - 1) % n.max(1);
         let mut m = ready.rotate_right(start as u32);
         while m != 0 && budget > 0 {
             let slot = (start + m.trailing_zeros() as usize) & 63;
@@ -519,12 +542,12 @@ impl Sm {
     }
 
     /// Classifies scheduler `sched_id`'s warps at cycle `now` (the table
-    /// must have been advanced to it): the slots that can issue, and the
-    /// stall charged if none does — the reason blocking the most warps,
-    /// ties broken in the paper's Fig. 1 priority order. `issue_stage` and
-    /// the fast-forward replay in `account_skip` share this one
-    /// classifier.
-    fn classify(&self, sched_id: usize, now: u64) -> (u64, StallReason) {
+    /// must have been advanced to it): the slots that can issue or, only
+    /// if none can, the stall charged — the reason blocking the most
+    /// warps, ties broken in the paper's Fig. 1 priority order.
+    /// `issue_stage` and the fast-forward replay in `account_skip` share
+    /// this one classifier.
+    fn classify(&self, sched_id: usize, now: u64) -> SchedulerCycle {
         let t = &self.table;
         crate::strict_assert!(
             t.now() == now,
@@ -534,15 +557,10 @@ impl Sm {
         );
         let cand = t.live() & self.sched_masks[sched_id];
         if cand == 0 {
-            return (0, StallReason::Idle);
+            return SchedulerCycle::Stalls(StallReason::Idle);
         }
-        let barrier_set = cand & t.barrier_mask();
-        let rest = cand & !t.barrier_mask();
-        let fetch_set = rest & t.ib_empty_mask();
-        let decoded = rest & !t.ib_empty_mask();
-        let mem_set = decoded & t.mem_pending_mask();
-        let raw_set = decoded & t.raw_pending_mask();
-        let ready = decoded & !mem_set & !raw_set;
+        let decoded = cand & !t.barrier_mask() & !t.ib_empty_mask();
+        let ready = decoded & !t.mem_pending_mask() & !t.raw_pending_mask();
         let unit = &self.units[sched_id];
         let mut free = t.barrier_heads();
         if unit.alu_busy_until <= now {
@@ -555,34 +573,50 @@ impl Sm {
             free |= t.lsu_heads();
         }
         let issuable = ready & free;
+        if issuable != 0 {
+            return SchedulerCycle::Issues(issuable);
+        }
+        // Nothing issues, so every ready warp waits on a busy unit.
         let counts = [
-            (mem_set, StallReason::LongMemoryLatency),
-            (raw_set, StallReason::ShortRawHazard),
-            (ready & !issuable, StallReason::ExecResource),
-            (fetch_set, StallReason::IbufferEmpty),
-            (barrier_set, StallReason::Barrier),
+            (
+                decoded & t.mem_pending_mask(),
+                StallReason::LongMemoryLatency,
+            ),
+            (decoded & t.raw_pending_mask(), StallReason::ShortRawHazard),
+            (ready, StallReason::ExecResource),
+            (
+                cand & !t.barrier_mask() & t.ib_empty_mask(),
+                StallReason::IbufferEmpty,
+            ),
+            (cand & t.barrier_mask(), StallReason::Barrier),
         ];
         // Strict comparison keeps the *first* maximum on ties.
         let mut best = (0, StallReason::LongMemoryLatency);
         for (set, reason) in counts {
-            if set.count_ones() > best.0 {
-                best = (set.count_ones(), reason);
+            let n = set.count_ones();
+            if n > best.0 {
+                best = (n, reason);
             }
         }
-        (issuable, best.1)
+        SchedulerCycle::Stalls(best.1)
     }
 
     fn issue_stage(&mut self, now: u64, descs: &[KernelDesc], kernel_insts: &mut [u64]) -> bool {
         let mut any_issued = false;
         for sched_id in 0..self.schedulers.len() {
-            let (issuable, stall) = self.classify(sched_id, now);
-            if let Some(slot) = self.schedulers[sched_id].select(issuable, self.table.launch_seqs())
-            {
+            let selected = match self.classify(sched_id, now) {
+                SchedulerCycle::Issues(issuable) => {
+                    self.schedulers[sched_id].select(issuable, self.table.launch_seqs())
+                }
+                SchedulerCycle::Stalls(reason) => {
+                    self.stats.stalls.record(reason);
+                    None
+                }
+            };
+            if let Some(slot) = selected {
                 self.issue_to_unit(now, sched_id, slot, descs, kernel_insts);
                 self.schedulers[sched_id].note_issue(slot);
                 any_issued = true;
-            } else {
-                self.stats.stalls.record(stall);
             }
         }
         any_issued
@@ -604,27 +638,24 @@ impl Sm {
         let desc = &descs[kernel.0];
         let inst = warp.head().expect("non-empty i-buffer"); // xtask-allow: no-unwrap
         let unit = &mut self.units[sched_id];
-        let warp_size = u64::from(crate::config::SmConfig::WARP_SIZE);
         match inst.op {
             OpClass::Alu => {
-                let ii = warp_size / u64::from(sm_cfg.simt_width);
-                unit.alu_busy_until = now + ii;
-                self.stats.alu_busy += ii;
-                let _ = warp.issue(now, u64::from(sm_cfg.alu_latency));
+                unit.alu_busy_until = now + self.alu_ii;
+                self.stats.alu_busy += self.alu_ii;
+                let _ = warp.issue(now, u64::from(sm_cfg.alu_latency), desc);
             }
             OpClass::Sfu => {
-                let ii = warp_size / u64::from(sm_cfg.sfu_width);
-                unit.sfu_busy_until = now + ii;
-                self.stats.sfu_busy += ii;
-                let _ = warp.issue(now, u64::from(sm_cfg.sfu_latency));
+                unit.sfu_busy_until = now + self.sfu_ii;
+                self.stats.sfu_busy += self.sfu_ii;
+                let _ = warp.issue(now, u64::from(sm_cfg.sfu_latency), desc);
             }
             OpClass::SharedMem => {
                 // Bank conflicts serialize the access: both the LSU
                 // occupancy and the result latency scale with the degree.
                 let degree = desc.shmem_conflict_degree.max(1);
-                let base = (warp_size / u64::from(sm_cfg.lsu_width)) as u32;
+                let base = self.lsu_ii;
                 let latency = u64::from(sm_cfg.shmem_latency) + u64::from((degree - 1) * base);
-                let _ = warp.issue(now, latency);
+                let _ = warp.issue(now, latency, desc);
                 unit.lsu = Some(LsuOp {
                     warp_slot: slot,
                     warp_gen: warp.gen,
@@ -635,13 +666,13 @@ impl Sm {
                 });
             }
             OpClass::Barrier => {
-                let _ = warp.issue(now, 0);
+                let _ = warp.issue(now, 0, desc);
                 warp.at_barrier = true;
                 let cta_slot = warp.cta_slot;
                 self.note_barrier_arrival(cta_slot);
             }
             OpClass::GlobalLoad | OpClass::GlobalStore => {
-                let _ = warp.issue(now, 0);
+                let _ = warp.issue(now, 0, desc);
                 self.line_buf.clear();
                 {
                     let mut lines = std::mem::take(&mut self.line_buf);
@@ -667,20 +698,27 @@ impl Sm {
                     kernel,
                     kind,
                     lines,
-                    cycles_left: (warp_size / u64::from(sm_cfg.lsu_width)) as u32,
+                    cycles_left: self.lsu_ii,
                 });
             }
         }
         self.stats.kernel_mut(kernel.0).insts_issued += 1;
-        if kernel.0 < kernel_insts.len() {
-            kernel_insts[kernel.0] += 1;
-        }
+        crate::strict_assert!(
+            kernel.0 < kernel_insts.len(),
+            "SM {}: kernel slot {} issued but the instruction counters cover {} kernels",
+            self.id,
+            kernel.0,
+            kernel_insts.len()
+        );
+        kernel_insts[kernel.0] += 1;
         if self.units[sched_id].lsu.is_some() {
             self.lsu_busy_mask |= 1u64 << sched_id;
         }
-        self.refresh_warp(slot);
-        if self.warps[slot].as_ref().is_some_and(Warp::finished) {
-            self.finished_buf.push(slot);
+        if let Some(warp) = self.warps[slot].as_ref() {
+            self.table.refresh_issued(slot, warp);
+            if warp.finished() {
+                self.finished_buf.push(slot);
+            }
         }
     }
 
@@ -951,13 +989,15 @@ impl Sm {
         let span = to - from;
         self.table.advance(from);
         for sched_id in 0..self.schedulers.len() {
-            let (issuable, reason) = self.classify(sched_id, from);
+            let cycle = self.classify(sched_id, from);
             crate::strict_assert!(
-                issuable == 0,
+                matches!(cycle, SchedulerCycle::Stalls(_)),
                 "SM {}: scheduler {sched_id} could issue inside a fast-forwarded span",
                 self.id
             );
-            self.stats.stalls.record_n(reason, span);
+            if let SchedulerCycle::Stalls(reason) = cycle {
+                self.stats.stalls.record_n(reason, span);
+            }
         }
         let n = self.warps.len().max(1) as u64;
         self.fetch_ptr = ((self.fetch_ptr as u64 + span % n) % n) as usize;
@@ -1059,6 +1099,34 @@ mod tests {
                 cta_index: 0
             }]
         );
+    }
+
+    /// Ticks an SM running an ALU kernel with no instruction counters.
+    fn issue_without_counters() {
+        let cfg = GpuConfig::isca_baseline();
+        let mut sm = Sm::new(0, &cfg, SchedulerKind::GreedyThenOldest);
+        let mut mem = MemSubsystem::new(&cfg);
+        let descs = vec![alu_kernel(4)];
+        assert!(sm.launch_cta(&descs[0], KernelId(0), 0));
+        for now in 0..100 {
+            sm.tick(now, &mut mem, &descs, &mut []);
+        }
+    }
+
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+    #[test]
+    #[should_panic(expected = "instruction counters cover 0 kernels")]
+    fn short_instruction_counters_are_a_checked_invariant() {
+        issue_without_counters();
+    }
+
+    /// With the check compiled out the count is still never dropped: the
+    /// direct index panics.
+    #[cfg(not(any(debug_assertions, feature = "strict-invariants")))]
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn short_instruction_counters_panic_in_release() {
+        issue_without_counters();
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Compiled in only with the off-by-default `stage-timing` Cargo feature;
 //! without it `stage_timed!` expands to its body and no clock is ever
-//! read. With it, every SM times its fetch, issue, LSU and
-//! finalize stages and the GPU times the memory-subsystem tick and the
-//! per-SM fill application. The times land in a [`StageClock`] kept apart
+//! read. With it, every SM times its scoreboard advance and its fetch,
+//! issue, LSU and finalize stages, and the GPU times the memory-subsystem
+//! tick and the per-SM fill application. The times land in a [`StageClock`] kept apart
 //! from `SmStats`/`MemStats` and print as a constant in `Debug`, so no
 //! statistic or fingerprint depends on them. A clock adds its times to
 //! process-wide totals when it is dropped; read them with [`totals`] after
@@ -23,6 +23,9 @@
 /// Accumulated wall-clock nanoseconds per tick stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
+    /// `WarpTable::advance` at the top of `Sm::tick`: draining the wait
+    /// wheels of the cycles passed.
+    pub scoreboard_ns: u64,
     /// `Sm::fetch_stage`.
     pub fetch_ns: u64,
     /// `Sm::issue_stage`, including the dispatch into functional units.
@@ -47,6 +50,7 @@ impl StageTimes {
     /// a `Drop`).
     #[cfg(feature = "stage-timing")]
     fn add(&mut self, other: &Self) {
+        self.scoreboard_ns = self.scoreboard_ns.saturating_add(other.scoreboard_ns);
         self.fetch_ns = self.fetch_ns.saturating_add(other.fetch_ns);
         self.issue_ns = self.issue_ns.saturating_add(other.issue_ns);
         self.lsu_ns = self.lsu_ns.saturating_add(other.lsu_ns);
@@ -58,8 +62,9 @@ impl StageTimes {
 
     /// `(stage name, nanoseconds)` in tick order.
     #[must_use]
-    pub fn rows(&self) -> [(&'static str, u64); 6] {
+    pub fn rows(&self) -> [(&'static str, u64); 7] {
         [
+            ("scoreboard", self.scoreboard_ns),
             ("fetch", self.fetch_ns),
             ("issue", self.issue_ns),
             ("lsu", self.lsu_ns),
@@ -86,6 +91,7 @@ impl std::fmt::Debug for StageClock {
 
 #[cfg(feature = "stage-timing")]
 static TOTALS: std::sync::Mutex<StageTimes> = std::sync::Mutex::new(StageTimes {
+    scoreboard_ns: 0,
     fetch_ns: 0,
     issue_ns: 0,
     lsu_ns: 0,

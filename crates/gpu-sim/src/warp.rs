@@ -1,8 +1,6 @@
 //! Warp execution state: program counter, i-buffer, scoreboard, and
 //! outstanding-load tracking.
 
-use std::collections::VecDeque;
-
 use crate::access::AddressStream;
 use crate::kernel::{KernelDesc, KernelId};
 use crate::program::{Inst, OpClass, Reg, NUM_VIRTUAL_REGS};
@@ -51,8 +49,13 @@ pub struct Warp {
     pc: usize,
     body_len: usize,
     iters_left: u32,
-    ibuffer: VecDeque<Inst>,
-    ibuffer_cap: usize,
+    /// The i-buffer holds consecutive body instructions, so it is the
+    /// count `ib_len` of them starting at `head_pc` (wrapping), with the
+    /// decoded head cached: `Some(body[head_pc])` while `ib_len > 0`.
+    head: Option<Inst>,
+    head_pc: usize,
+    ib_len: u32,
+    ib_cap: u32,
     fetch_ready: u64,
     fetch_count: u64,
     reg_ready: [u64; NUM_VIRTUAL_REGS],
@@ -88,8 +91,10 @@ impl Warp {
             pc: 0,
             body_len: desc.program.len(),
             iters_left: desc.iterations,
-            ibuffer: VecDeque::with_capacity(ibuffer_cap as usize),
-            ibuffer_cap: ibuffer_cap as usize,
+            head: None,
+            head_pc: 0,
+            ib_len: 0,
+            ib_cap: ibuffer_cap,
             fetch_ready: 0,
             fetch_count: 0,
             reg_ready: [0; NUM_VIRTUAL_REGS],
@@ -123,10 +128,14 @@ impl Warp {
         fetch_latency: u32,
         icache_miss_penalty: u32,
     ) -> bool {
-        if self.fetch_done() || self.ibuffer.len() >= self.ibuffer_cap || self.fetch_ready > now {
+        if self.fetch_done() || self.ib_len >= self.ib_cap || self.fetch_ready > now {
             return false;
         }
-        self.ibuffer.push_back(desc.program.inst(self.pc));
+        if self.head.is_none() {
+            self.head = Some(desc.program.inst(self.pc));
+            self.head_pc = self.pc;
+        }
+        self.ib_len += 1;
         self.pc += 1;
         if self.pc == self.body_len {
             self.pc = 0;
@@ -156,13 +165,13 @@ impl Warp {
     /// The decoded instruction at the head of the i-buffer.
     #[must_use]
     pub fn head(&self) -> Option<Inst> {
-        self.ibuffer.front().copied()
+        self.head
     }
 
     /// Whether the i-buffer is empty (front-end starved).
     #[must_use]
     pub fn ibuffer_empty(&self) -> bool {
-        self.ibuffer.is_empty()
+        self.head.is_none()
     }
 
     fn reg_block(&self, reg: Reg, now: u64) -> Option<IssueBlock> {
@@ -202,13 +211,24 @@ impl Warp {
         worst
     }
 
-    /// Consumes the head instruction at issue. For ALU/SFU/shared-memory
-    /// ops the destination becomes ready at `now + latency`; for global
-    /// loads the caller must follow up with [`Self::begin_load`].
-    pub fn issue(&mut self, now: u64, result_latency: u64) -> Inst {
+    /// Consumes the head instruction at issue and decodes the next one from
+    /// `desc`'s body. For ALU/SFU/shared-memory ops the destination becomes
+    /// ready at `now + latency`; for global loads the caller must follow up
+    /// with [`Self::begin_load`].
+    pub fn issue(&mut self, now: u64, result_latency: u64, desc: &KernelDesc) -> Inst {
         // Invariant: the scheduler only issues warps whose i-buffer it just
         // inspected via head(). xtask-allow: no-unwrap
-        let inst = self.ibuffer.pop_front().expect("issue on empty i-buffer");
+        let inst = self.head.expect("issue on empty i-buffer");
+        self.ib_len -= 1;
+        self.head = if self.ib_len == 0 {
+            None
+        } else {
+            self.head_pc += 1;
+            if self.head_pc == self.body_len {
+                self.head_pc = 0;
+            }
+            Some(desc.program.inst(self.head_pc))
+        };
         self.insts_issued += 1;
         if inst.op != OpClass::GlobalLoad {
             if let Some(dst) = inst.dst {
@@ -292,7 +312,7 @@ impl Warp {
     /// is the value cached per-slot in [`WarpTable::fetch_at`].
     #[must_use]
     pub fn fetch_ready_at(&self) -> u64 {
-        if self.fetch_done() || self.ibuffer.len() >= self.ibuffer_cap {
+        if self.fetch_done() || self.ib_len >= self.ib_cap {
             u64::MAX
         } else {
             self.fetch_ready
@@ -332,56 +352,230 @@ impl Warp {
     }
 }
 
-/// Slots waiting for a per-slot cycle, plus the exact minimum of those
-/// cycles (`u64::MAX` when none waits).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Slots waiting for a per-slot cycle later than the owning table's clock
+/// `now`, filed on a timing wheel. A slot waking at cycle `t` with
+/// `t - now <= len` sits in bucket `t & (len - 1)`: the `len` cycles after
+/// `now` map to distinct buckets, so a bucket holds the slots of exactly
+/// one cycle. A slot waiting longer sits in the overflow set `far` until
+/// the clock comes within `len` cycles of it. Filing and unfiling are O(1),
+/// [`Self::advance`] drains only the buckets the clock passes, and
+/// [`Self::wake`] finds the earliest bucket with a rotate and a
+/// trailing-zero count.
+#[derive(Debug, Clone)]
 struct WaitSet {
+    /// Every waiting slot.
     mask: u64,
-    wake: u64,
+    /// Slots by wake cycle modulo the wheel length (a power of two, at
+    /// most 64, so one `u64` tracks which buckets are occupied).
+    buckets: Vec<u64>,
+    /// Bit `i` set while `buckets[i]` is non-empty.
+    occupied: u64,
+    /// Slots waking more than `len` cycles after `now`.
+    far: u64,
+    /// Minimum wake cycle over `far` (`u64::MAX` when empty).
+    far_min: u64,
 }
 
 impl WaitSet {
-    const EMPTY: Self = Self {
-        mask: 0,
-        wake: u64::MAX,
-    };
-
-    /// Moves slot `slot` in or out of the set. `until` is the cycle it now
-    /// waits for (`None`: it no longer waits), `old` the cycle its entry in
-    /// `at` held before the caller overwrote it.
-    fn update(&mut self, slot: usize, old: u64, until: Option<u64>, at: &[u64]) {
-        let bit = 1u64 << slot;
-        let was = self.mask & bit != 0;
-        match until {
-            Some(t) => {
-                self.mask |= bit;
-                if t <= self.wake {
-                    self.wake = t;
-                    return;
-                }
-            }
-            None => self.mask &= !bit,
-        }
-        if was && old == self.wake {
-            // The slot may have held the minimum: recompute it.
-            self.wake = min_over(self.mask, at);
+    /// An empty set on a wheel long enough that a wait of up to
+    /// `max_wait` cycles never takes the overflow set (capped at 64
+    /// buckets).
+    fn new(max_wait: u32) -> Self {
+        let len = max_wait.clamp(1, 64).next_power_of_two() as usize;
+        Self {
+            mask: 0,
+            buckets: vec![0; len],
+            occupied: 0,
+            far: 0,
+            far_min: u64::MAX,
         }
     }
 
-    /// Drops every slot whose cycle is `<= now` and returns them.
-    fn expire(&mut self, now: u64, at: &[u64]) -> u64 {
+    fn len(&self) -> u64 {
+        self.buckets.len() as u64
+    }
+
+    /// Files slot `slot`, not yet in the set, as waking at `t > now`.
+    fn file(&mut self, slot: usize, t: u64, now: u64) {
+        let bit = 1u64 << slot;
+        self.mask |= bit;
+        if t - now <= self.len() {
+            let i = (t & (self.len() - 1)) as usize;
+            self.buckets[i] |= bit;
+            self.occupied |= 1u64 << i;
+        } else {
+            self.far |= bit;
+            self.far_min = self.far_min.min(t);
+        }
+    }
+
+    /// Unfiles slot `slot`, filed under cycle `t`; `at` holds the other
+    /// slots' cycles.
+    fn unfile(&mut self, slot: usize, t: u64, at: &[u64]) {
+        let bit = 1u64 << slot;
+        self.mask &= !bit;
+        if self.far & bit != 0 {
+            self.far &= !bit;
+            if t == self.far_min {
+                self.far_min = min_over(self.far, at);
+            }
+        } else {
+            let i = (t & (self.len() - 1)) as usize;
+            self.buckets[i] &= !bit;
+            if self.buckets[i] == 0 {
+                self.occupied &= !(1u64 << i);
+            }
+        }
+    }
+
+    /// Moves slot `slot` in or out of the set at clock `now`. `until` is
+    /// the cycle it now waits for (`None`: it no longer waits), `old` the
+    /// cycle its entry in `at` held before the caller overwrote it.
+    fn update(&mut self, slot: usize, old: u64, until: Option<u64>, now: u64, at: &[u64]) {
+        if self.mask & (1u64 << slot) != 0 {
+            if until == Some(old) {
+                return;
+            }
+            self.unfile(slot, old, at);
+        }
+        if let Some(t) = until {
+            self.file(slot, t, now);
+        }
+    }
+
+    /// Moves the clock from `from` to `to >= from`: drops every slot whose
+    /// cycle is `<= to` and returns them. A jump of `len` cycles or more
+    /// drains every bucket at once.
+    #[inline]
+    fn advance(&mut self, from: u64, to: u64, at: &[u64]) -> u64 {
+        if self.mask == 0 {
+            return 0;
+        }
+        let len = self.len();
+        let due = if to - from == 1 {
+            // One tick: the bucket of cycle `to` alone.
+            self.occupied & (1u64 << (to & (len - 1)))
+        } else if to - from >= len {
+            self.occupied
+        } else {
+            // The buckets of cycles `from + 1 ..= to`.
+            let span = (1u64 << (to - from)) - 1;
+            self.occupied & rotl(span, (from + 1) & (len - 1), len)
+        };
+        self.occupied &= !due;
         let mut woke = 0u64;
-        let mut m = self.mask;
+        let mut d = due;
+        while d != 0 {
+            woke |= std::mem::take(&mut self.buckets[d.trailing_zeros() as usize]);
+            d &= d - 1;
+        }
+        if self.far_min <= to.saturating_add(len) {
+            woke |= self.refile_far(to, at);
+        }
+        self.mask &= !woke;
+        woke
+    }
+
+    /// Moves the overflow slots within `len` cycles of `now` onto the
+    /// wheel and returns those already due (the rarely taken path of
+    /// waits longer than the wheel).
+    #[cold]
+    fn refile_far(&mut self, now: u64, at: &[u64]) -> u64 {
+        let mut m = std::mem::take(&mut self.far);
+        self.far_min = u64::MAX;
+        let mut due = 0u64;
         while m != 0 {
             let slot = m.trailing_zeros() as usize;
             m &= m - 1;
             if at[slot] <= now {
-                woke |= 1u64 << slot;
+                due |= 1u64 << slot;
+            } else {
+                self.file(slot, at[slot], now);
             }
         }
-        self.mask &= !woke;
-        self.wake = min_over(self.mask, at);
-        woke
+        due
+    }
+
+    /// The earliest cycle a slot wakes at (`u64::MAX` when none waits).
+    /// Every bucketed cycle precedes every overflow cycle.
+    fn wake(&self, now: u64) -> u64 {
+        if self.occupied == 0 {
+            return self.far_min;
+        }
+        let len = self.len();
+        let first = rotr(self.occupied, (now + 1) & (len - 1), len).trailing_zeros();
+        now + 1 + u64::from(first)
+    }
+
+    /// Empties the set, then files each slot of `slots` whose cycle in
+    /// `at` is finite and later than `now`.
+    fn rebuild(&mut self, slots: u64, now: u64, at: &[u64]) {
+        let mut o = self.occupied;
+        while o != 0 {
+            self.buckets[o.trailing_zeros() as usize] = 0;
+            o &= o - 1;
+        }
+        self.mask = 0;
+        self.occupied = 0;
+        self.far = 0;
+        self.far_min = u64::MAX;
+        let mut m = slots;
+        while m != 0 {
+            let slot = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if at[slot] != u64::MAX && at[slot] > now {
+                self.file(slot, at[slot], now);
+            }
+        }
+    }
+
+    /// Oracle check: asserts the set holds exactly `expect` (slot mask,
+    /// minimum cycle) at clock `now`, and that every slot is filed where
+    /// its cycle in `at` puts it.
+    fn assert_filed(&self, expect: (u64, u64), now: u64, at: &[u64], what: &str) {
+        assert_eq!(
+            (self.mask, self.wake(now)),
+            expect,
+            "{what} mask / wake at cycle {now}"
+        );
+        let len = self.len();
+        let mut near = 0u64;
+        for (i, &b) in self.buckets.iter().enumerate() {
+            assert_eq!(
+                self.occupied & (1u64 << i) != 0,
+                b != 0,
+                "{what}: bucket {i} occupancy bit at cycle {now}"
+            );
+            near |= b;
+        }
+        assert_eq!(near & self.far, 0, "{what}: slot both bucketed and far");
+        assert_eq!(near | self.far, self.mask, "{what}: filed slots vs mask");
+        assert_eq!(self.far_min, min_over(self.far, at), "{what}: far minimum");
+        let mut m = self.mask;
+        while m != 0 {
+            let slot = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let t = at[slot];
+            assert!(
+                t > now,
+                "{what}: slot {slot} due at {t} still waits at {now}"
+            );
+            let bit = 1u64 << slot;
+            if t - now <= len {
+                let i = (t & (len - 1)) as usize;
+                assert_ne!(
+                    self.buckets[i] & bit,
+                    0,
+                    "{what}: slot {slot} not in bucket {i}"
+                );
+            } else {
+                assert_ne!(
+                    self.far & bit,
+                    0,
+                    "{what}: slot {slot} not in the overflow set"
+                );
+            }
+        }
     }
 }
 
@@ -396,6 +590,24 @@ fn min_over(mask: u64, at: &[u64]) -> u64 {
     best
 }
 
+/// `x` (bits below `len` only) rotated left by `s < len` within `len` bits.
+fn rotl(x: u64, s: u64, len: u64) -> u64 {
+    if len == 64 {
+        x.rotate_left(s as u32)
+    } else {
+        ((x << s) | (x >> (len - s))) & ((1u64 << len) - 1)
+    }
+}
+
+/// `x` (bits below `len` only) rotated right by `s < len` within `len` bits.
+fn rotr(x: u64, s: u64, len: u64) -> u64 {
+    if len == 64 {
+        x.rotate_right(s as u32)
+    } else {
+        ((x >> s) | (x << (len - s))) & ((1u64 << len) - 1)
+    }
+}
+
 /// Struct-of-arrays mirror of the per-warp state the per-cycle stages
 /// actually read: residency/finished/barrier/i-buffer/mem-pending bitmasks,
 /// op-class masks of the decoded heads, flat arrays of head readiness,
@@ -407,10 +619,10 @@ fn min_over(mask: u64, at: &[u64]) -> u64 {
 ///
 /// Readiness against the clock is kept relative to the table's last-known
 /// cycle ([`Self::now`]). A slot whose head operands or fetch port open
-/// later sits in a pending mask; [`Self::advance`] moves it out only when
-/// the clock reaches the pending set's minimum wake cycle, so a cycle in
-/// which nothing wakes costs two compares. Capacity is one `u64` of slots —
-/// `Sm::new` asserts `max_warps <= 64`.
+/// later sits in a pending set filed on a timing wheel by wake cycle;
+/// [`Self::advance`] drains only the wheel buckets the clock passes, so a
+/// cycle in which nothing wakes costs a bit test per set. Capacity is one
+/// `u64` of slots — `Sm::new` asserts `max_warps <= 64`.
 #[derive(Debug, Clone)]
 pub struct WarpTable {
     /// The cycle the readiness masks are relative to.
@@ -446,9 +658,12 @@ pub struct WarpTable {
 }
 
 impl WarpTable {
-    /// An empty table with `n_slots` warp slots (at most 64).
+    /// An empty table with `n_slots` warp slots (at most 64) whose wait
+    /// wheels cover waits of up to `max_wait` cycles without overflow
+    /// (see [`crate::SmConfig::max_wait`]); longer waits stay exact but
+    /// take a slower path.
     #[must_use]
-    pub fn new(n_slots: usize) -> Self {
+    pub fn new(n_slots: usize, max_wait: u32) -> Self {
         assert!(
             n_slots <= 64,
             "WarpTable bitmasks hold at most 64 warp slots, got {n_slots}"
@@ -464,8 +679,8 @@ impl WarpTable {
             sfu_heads: 0,
             barrier_heads: 0,
             lsu_heads: 0,
-            raw: WaitSet::EMPTY,
-            fetch_wait: WaitSet::EMPTY,
+            raw: WaitSet::new(max_wait),
+            fetch_wait: WaitSet::new(max_wait),
             fetch_ready: 0,
             head_ready: vec![0; n_slots],
             fetch_at: vec![u64::MAX; n_slots],
@@ -478,11 +693,18 @@ impl WarpTable {
     /// lifecycle, barrier park/release) or the table silently diverges —
     /// the strict-invariant oracle check catches that in debug builds.
     pub fn refresh(&mut self, slot: usize, warp: &Warp) {
+        self.resident |= 1u64 << slot;
+        self.launch_seq[slot] = warp.launch_seq;
+        self.refresh_issued(slot, warp);
+    }
+
+    /// The narrower [`Self::refresh`] after a [`Warp::issue`] (and the
+    /// barrier park or load registration that may follow it): an issue
+    /// leaves residency and the launch stamp alone.
+    pub fn refresh_issued(&mut self, slot: usize, warp: &Warp) {
         let bit = 1u64 << slot;
-        self.resident |= bit;
         set_bit(&mut self.finished, bit, warp.finished());
         set_bit(&mut self.barrier, bit, warp.at_barrier);
-        self.launch_seq[slot] = warp.launch_seq;
         self.set_fetch_at(slot, warp.fetch_ready_at());
         self.set_head(slot, warp);
     }
@@ -528,17 +750,26 @@ impl WarpTable {
         };
         let old = std::mem::replace(&mut self.head_ready[slot], ready);
         let waits = ready != PENDING_LOAD && ready > self.now && self.barrier & bit == 0;
-        self.raw
-            .update(slot, old, waits.then_some(ready), &self.head_ready);
+        self.raw.update(
+            slot,
+            old,
+            waits.then_some(ready),
+            self.now,
+            &self.head_ready,
+        );
     }
 
     /// Records slot `slot`'s fetch readiness and files it as open, waiting,
     /// or (`u64::MAX`) closed.
     fn set_fetch_at(&mut self, slot: usize, at: u64) {
         let old = std::mem::replace(&mut self.fetch_at[slot], at);
+        if old == at {
+            // Filed against the same clock already: nothing moves.
+            return;
+        }
         let waits = at != u64::MAX && at > self.now;
         self.fetch_wait
-            .update(slot, old, waits.then_some(at), &self.fetch_at);
+            .update(slot, old, waits.then_some(at), self.now, &self.fetch_at);
         set_bit(&mut self.fetch_ready, 1u64 << slot, at <= self.now);
     }
 
@@ -560,47 +791,45 @@ impl WarpTable {
             *m &= keep;
         }
         let old = std::mem::replace(&mut self.head_ready[slot], 0);
-        self.raw.update(slot, old, None, &self.head_ready);
+        self.raw.update(slot, old, None, self.now, &self.head_ready);
         self.set_fetch_at(slot, u64::MAX);
         self.launch_seq[slot] = 0;
     }
 
     /// Moves the readiness masks to cycle `now`: slots whose RAW wait or
-    /// fetch wait ends at or before `now` become ready. Only the pending
-    /// bits are rescanned, and only once `now` reaches a wake cycle, so any
-    /// jump forward — one tick or a fast-forwarded span — costs the same.
-    /// A clock that moves backwards (never the case under `Sm::tick`)
-    /// reclassifies every slot.
+    /// fetch wait ends at or before `now` become ready. Each wait wheel
+    /// drains only the buckets of the cycles passed, and a jump of a whole
+    /// wheel or more drains all of them at once, so a fast-forwarded span
+    /// costs no more than a few ticks. A clock that moves backwards (never
+    /// the case under `Sm::tick`) reclassifies every slot.
+    #[inline]
     pub fn advance(&mut self, now: u64) {
-        if now < self.now {
-            self.now = now;
-            self.reclassify();
-            return;
-        }
+        let from = self.now;
         self.now = now;
-        if now >= self.raw.wake {
-            let _ = self.raw.expire(now, &self.head_ready);
-        }
-        if now >= self.fetch_wait.wake {
-            self.fetch_ready |= self.fetch_wait.expire(now, &self.fetch_at);
+        if now < from {
+            self.reclassify();
+        } else if now > from {
+            let _ = self.raw.advance(from, now, &self.head_ready);
+            self.fetch_ready |= self.fetch_wait.advance(from, now, &self.fetch_at);
         }
     }
 
     /// Rebuilds both wait splits from the per-slot arrays at `self.now`.
     fn reclassify(&mut self) {
-        self.raw = WaitSet::EMPTY;
-        self.fetch_wait = WaitSet::EMPTY;
-        self.fetch_ready = 0;
+        let now = self.now;
         let decoded = self.resident & !self.ib_empty & !self.mem_pending & !self.barrier;
+        self.raw.rebuild(decoded, now, &self.head_ready);
+        self.fetch_wait.rebuild(self.resident, now, &self.fetch_at);
+        self.fetch_ready = 0;
         let mut m = self.resident;
         while m != 0 {
             let slot = m.trailing_zeros() as usize;
             m &= m - 1;
-            let ready = self.head_ready[slot];
-            if decoded & (1u64 << slot) != 0 && ready > self.now {
-                self.raw.update(slot, ready, Some(ready), &self.head_ready);
-            }
-            self.set_fetch_at(slot, self.fetch_at[slot]);
+            set_bit(
+                &mut self.fetch_ready,
+                1u64 << slot,
+                self.fetch_at[slot] <= now,
+            );
         }
     }
 
@@ -653,7 +882,7 @@ impl WarpTable {
     /// (`u64::MAX` when none waits).
     #[must_use]
     pub fn raw_wake(&self) -> u64 {
-        self.raw.wake
+        self.raw.wake(self.now)
     }
 
     /// Slots whose fetch port is open at [`Self::now`].
@@ -672,7 +901,7 @@ impl WarpTable {
     /// when none waits).
     #[must_use]
     pub fn fetch_wake(&self) -> u64 {
-        self.fetch_wait.wake
+        self.fetch_wait.wake(self.now)
     }
 
     /// Decoded heads issuing to the ALU.
@@ -729,8 +958,9 @@ impl WarpTable {
     pub fn assert_matches(&self, warps: &[Option<Warp>]) {
         assert_eq!(self.head_ready.len(), warps.len(), "slot count mismatch");
         let now = self.now;
-        let mut raw = WaitSet::EMPTY;
-        let mut fetch_wait = WaitSet::EMPTY;
+        // Expected (slot mask, minimum wake) of each wait set.
+        let mut raw = (0u64, u64::MAX);
+        let mut fetch_wait = (0u64, u64::MAX);
         let mut fetch_ready = 0u64;
         let mut heads = [0u64; 4];
         for (slot, warp) in warps.iter().enumerate() {
@@ -754,8 +984,8 @@ impl WarpTable {
             let f = w.fetch_ready_at();
             assert_eq!(self.fetch_at[slot], f, "slot {slot}: fetch_at");
             if f != u64::MAX && f > now {
-                fetch_wait.mask |= bit;
-                fetch_wait.wake = fetch_wait.wake.min(f);
+                fetch_wait.0 |= bit;
+                fetch_wait.1 = fetch_wait.1.min(f);
             } else if f <= now {
                 fetch_ready |= bit;
             }
@@ -784,8 +1014,8 @@ impl WarpTable {
                     };
                     heads[class] |= bit;
                     if ready != PENDING_LOAD && ready > now && !w.at_barrier {
-                        raw.mask |= bit;
-                        raw.wake = raw.wake.min(ready);
+                        raw.0 |= bit;
+                        raw.1 = raw.1.min(ready);
                     }
                 }
             }
@@ -800,11 +1030,10 @@ impl WarpTable {
             heads,
             "op-class masks (alu, sfu, barrier, lsu) at cycle {now}"
         );
-        assert_eq!(self.raw, raw, "RAW-pending mask / wake at cycle {now}");
-        assert_eq!(
-            self.fetch_wait, fetch_wait,
-            "fetch-wait mask / wake at cycle {now}"
-        );
+        self.raw
+            .assert_filed(raw, now, &self.head_ready, "RAW-pending");
+        self.fetch_wait
+            .assert_filed(fetch_wait, now, &self.fetch_at, "fetch-wait");
         assert_eq!(
             self.fetch_ready, fetch_ready,
             "fetch-ready mask at cycle {now}"
@@ -871,20 +1100,20 @@ mod tests {
         assert!(!w.ibuffer_empty());
         // Second fetch gated by fetch latency.
         assert!(!w.fetch(0, &desc, 1, 0));
-        assert_eq!(w.ibuffer.len(), 1);
+        assert_eq!(w.ib_len, 1);
         w.fetch(1, &desc, 1, 0);
-        assert_eq!(w.ibuffer.len(), 2);
+        assert_eq!(w.ib_len, 2);
         // Buffer full: no more fetches.
         w.fetch(2, &desc, 1, 0);
-        assert_eq!(w.ibuffer.len(), 2);
+        assert_eq!(w.ib_len, 2);
         // Drain and keep fetching: 4 total instructions then fetch_done.
-        let _ = w.issue(2, 1);
-        let _ = w.issue(2, 1);
+        let _ = w.issue(2, 1, &desc);
+        let _ = w.issue(2, 1, &desc);
         w.fetch(3, &desc, 1, 0);
         w.fetch(4, &desc, 1, 0);
         assert!(w.fetch_done());
-        let _ = w.issue(5, 1);
-        let _ = w.issue(5, 1);
+        let _ = w.issue(5, 1, &desc);
+        let _ = w.issue(5, 1, &desc);
         assert!(w.finished());
     }
 
@@ -895,7 +1124,7 @@ mod tests {
         w.fetch(0, &desc, 1, 0);
         w.fetch(1, &desc, 1, 0);
         assert_eq!(w.issue_block(0), None);
-        let _ = w.issue(0, 10); // r0 ready at 10
+        let _ = w.issue(0, 10, &desc); // r0 ready at 10
         assert_eq!(w.issue_block(5), Some(IssueBlock::RawPending));
         assert_eq!(w.issue_block(10), None);
     }
@@ -906,7 +1135,7 @@ mod tests {
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 1, 0);
         w.fetch(1, &desc, 1, 0);
-        let inst = w.issue(0, 0);
+        let inst = w.issue(0, 0, &desc);
         assert_eq!(inst.op, OpClass::GlobalLoad);
         let id = w.begin_load(inst.dst.unwrap());
         w.add_load_transaction(id);
@@ -921,7 +1150,7 @@ mod tests {
         let desc = kernel_with(vec![load(0, 1), alu(2, 0)], 1);
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 1, 0);
-        let inst = w.issue(0, 0);
+        let inst = w.issue(0, 0, &desc);
         let id = w.begin_load(inst.dst.unwrap());
         assert!(w.finish_load_issue(id, 28));
         assert_eq!(w.outstanding_loads(), 0);
@@ -939,7 +1168,7 @@ mod tests {
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 0, 0);
         w.fetch(0, &desc, 0, 0);
-        let first = w.issue(0, 0);
+        let first = w.issue(0, 0, &desc);
         let id = w.begin_load(first.dst.unwrap());
         w.add_load_transaction(id);
         let _ = w.finish_load_issue(id, 0);
@@ -957,7 +1186,7 @@ mod tests {
         let desc = kernel_with(vec![load(0, 1)], 1);
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 1, 0);
-        let _ = w.issue(0, 0);
+        let _ = w.issue(0, 0, &desc);
         assert!(!w.complete_load_transaction(99, 10));
     }
 
@@ -967,19 +1196,19 @@ mod tests {
         desc.icache_miss_rate = 1.0;
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 2, 40);
-        assert_eq!(w.ibuffer.len(), 1);
+        assert_eq!(w.ib_len, 1);
         // Every fetch misses: next fetch not ready until 42.
         w.fetch(41, &desc, 2, 40);
-        assert_eq!(w.ibuffer.len(), 1);
+        assert_eq!(w.ib_len, 1);
         w.fetch(42, &desc, 2, 40);
-        assert_eq!(w.ibuffer.len(), 2);
+        assert_eq!(w.ib_len, 2);
     }
 
     #[test]
     fn warp_table_tracks_fetch_issue_and_load_lifecycle() {
         let desc = kernel_with(vec![load(0, 1), alu(2, 0)], 1);
         let mut w = warp_for(&desc);
-        let mut t = WarpTable::new(4);
+        let mut t = WarpTable::new(4, 42);
         t.refresh(0, &w);
         assert_eq!(t.resident_mask(), 1);
         assert_eq!(t.live(), 1);
@@ -993,7 +1222,7 @@ mod tests {
         assert_eq!(t.lsu_heads(), 1, "a global-load head issues to the LSU");
         t.assert_matches(&[Some(w.clone()), None, None, None]);
 
-        let inst = w.issue(0, 0);
+        let inst = w.issue(0, 0, &desc);
         let id = w.begin_load(inst.dst.unwrap());
         w.add_load_transaction(id);
         let _ = w.finish_load_issue(id, 0);
@@ -1039,9 +1268,9 @@ mod tests {
             1,
         );
         let mut w = warp_for(&desc);
-        let mut t = WarpTable::new(2);
+        let mut t = WarpTable::new(2, 42);
         w.fetch(0, &desc, 1, 0);
-        let _ = w.issue(0, 0);
+        let _ = w.issue(0, 0, &desc);
         w.at_barrier = true;
         t.refresh(0, &w);
         assert_ne!(t.barrier_mask() & 1, 0);
@@ -1058,7 +1287,7 @@ mod tests {
         let mut warps: Vec<Option<Warp>> = (0..3)
             .map(|i| Some(Warp::new(&desc, KernelId(0), 0, 0, i, 0, u64::from(i), 2)))
             .collect();
-        let mut t = WarpTable::new(3);
+        let mut t = WarpTable::new(3, 42);
         // Fetch at cycles 0..3 with latency 10: ports reopen at 10, 11, 12.
         for (slot, w) in warps.iter_mut().enumerate() {
             let now = slot as u64;
@@ -1088,10 +1317,87 @@ mod tests {
         t.assert_matches(&warps);
     }
 
+    /// The timing wheel against a brute-force model (each slot's wake
+    /// cycle, or not waiting) over seeded random inserts, moves, removes,
+    /// advances of one tick, of up to a wheel, and of a wheel or more, and
+    /// backward clocks (the rebuild `reclassify` does). Wheels of 1 to 64
+    /// buckets; deltas at the wheel length, just past it, and far past it
+    /// (the overflow set). After every step the mask, the exact minimum
+    /// and the filing of every slot are checked.
+    #[test]
+    fn wait_wheel_matches_brute_force_model() {
+        use crate::SimRng;
+        for max_wait in [1u32, 3, 16, 42, 64, 200] {
+            let mut rng = SimRng::seed_from_u64(0x3EE1 + u64::from(max_wait));
+            let mut set = WaitSet::new(max_wait);
+            let len = set.len();
+            let mut at = vec![u64::MAX; 64];
+            let mut model: Vec<Option<u64>> = vec![None; 64];
+            let mut now = 1_000u64;
+            let mut overflowed = false;
+            for step in 0..20_000 {
+                match rng.range_u64(10) {
+                    0..=3 => {
+                        let slot = rng.range_usize(64);
+                        let delta = match rng.range_u64(4) {
+                            0 => len,
+                            1 => len + 1,
+                            _ => 1 + rng.range_u64(3 * len),
+                        };
+                        overflowed |= delta > len;
+                        let t = now + delta;
+                        let old = std::mem::replace(&mut at[slot], t);
+                        set.update(slot, old, Some(t), now, &at);
+                        model[slot] = Some(t);
+                    }
+                    4 | 5 => {
+                        let slot = rng.range_usize(64);
+                        let old = std::mem::replace(&mut at[slot], u64::MAX);
+                        set.update(slot, old, None, now, &at);
+                        model[slot] = None;
+                    }
+                    6..=8 => {
+                        let to = now
+                            + match rng.range_u64(3) {
+                                0 => 1,
+                                1 => rng.range_u64(len + 1),
+                                _ => len + rng.range_u64(2 * len),
+                            };
+                        let mut expect = 0u64;
+                        for (slot, m) in model.iter_mut().enumerate() {
+                            if m.is_some_and(|t| t <= to) {
+                                expect |= 1u64 << slot;
+                                *m = None;
+                            }
+                        }
+                        assert_eq!(set.advance(now, to, &at), expect, "step {step}: woken");
+                        now = to;
+                    }
+                    _ => {
+                        now -= rng.range_u64(2 * len + 1).min(now);
+                        set.rebuild(u64::MAX, now, &at);
+                        for (m, &t) in model.iter_mut().zip(&at) {
+                            *m = (t != u64::MAX && t > now).then_some(t);
+                        }
+                    }
+                }
+                let mut expect = (0u64, u64::MAX);
+                for (slot, m) in model.iter().enumerate() {
+                    if let Some(t) = *m {
+                        expect.0 |= 1u64 << slot;
+                        expect.1 = expect.1.min(t);
+                    }
+                }
+                set.assert_filed(expect, now, &at, "wheel");
+            }
+            assert!(overflowed, "wheel of {len}: no wait took the overflow set");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "at most 64 warp slots")]
     fn warp_table_rejects_more_than_64_slots() {
-        let _ = WarpTable::new(65);
+        let _ = WarpTable::new(65, 42);
     }
 
     #[test]
@@ -1099,11 +1405,11 @@ mod tests {
     fn warp_table_oracle_catches_divergence() {
         let desc = kernel_with(vec![alu(0, 1)], 1);
         let mut w = warp_for(&desc);
-        let mut t = WarpTable::new(1);
+        let mut t = WarpTable::new(1, 42);
         t.refresh(0, &w);
         // Mutate the warp without refreshing: the oracle must object.
         w.fetch(0, &desc, 1, 0);
-        let _ = w.issue(0, 1);
+        let _ = w.issue(0, 1, &desc);
         t.assert_matches(&[Some(w)]);
     }
 
@@ -1112,12 +1418,12 @@ mod tests {
         let desc = kernel_with(vec![load(0, 1), alu(1, 2), alu(3, 0)], 1);
         let mut w = warp_for(&desc);
         w.fetch(0, &desc, 0, 0);
-        let inst = w.issue(0, 0);
+        let inst = w.issue(0, 0, &desc);
         let id = w.begin_load(inst.dst.unwrap());
         w.add_load_transaction(id);
         let _ = w.finish_load_issue(id, 0);
         w.fetch(1, &desc, 0, 0);
-        let _ = w.issue(1, 10); // r1 ready at 11? (now=1 + 10)
+        let _ = w.issue(1, 10, &desc); // r1 ready at 11? (now=1 + 10)
         w.fetch(2, &desc, 0, 0);
         // Head reads r0 (mem-pending): classified as MemPending.
         assert_eq!(w.issue_block(2), Some(IssueBlock::MemPending));

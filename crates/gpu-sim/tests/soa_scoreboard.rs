@@ -172,16 +172,7 @@ fn bitmask_scoreboard_matches_naive_oracle_under_random_sequences() {
 #[test]
 fn scoreboard_matches_oracle_across_fast_forward_jumps() {
     let cfg = GpuConfig::isca_baseline();
-    let longest_latency = [
-        cfg.sm.alu_latency,
-        cfg.sm.sfu_latency,
-        cfg.sm.shmem_latency,
-        cfg.sm.l1_hit_latency,
-        cfg.sm.fetch_latency + cfg.sm.icache_miss_penalty,
-    ]
-    .into_iter()
-    .max()
-    .map_or(0, u64::from);
+    let longest_latency = u64::from(cfg.sm.max_wait());
     let mut gpu = Gpu::new(cfg, SchedulerKind::GreedyThenOldest);
     gpu.set_fast_forward(true);
     let descs = kernel_mix();
@@ -228,6 +219,61 @@ fn scoreboard_matches_oracle_across_fast_forward_jumps() {
         longest_jump > longest_latency,
         "expected a jump over live warps longer than every latency ({longest_latency}), \
          longest was {longest_jump}"
+    );
+}
+
+/// Shared-memory bank conflicts lengthen a result latency past the
+/// scoreboard's wait wheel (sized from the config's latencies), so those
+/// RAW waits take the overflow set. Checked against the oracle after every
+/// tick and after clock jumps, and the run must actually wait past the
+/// wheel.
+#[test]
+fn waits_longer_than_the_wheel_stay_exact() {
+    let cfg = GpuConfig::isca_baseline();
+    let wheel = u64::from(cfg.sm.max_wait().min(64).next_power_of_two());
+    let desc = KernelDesc {
+        shmem_per_cta: 1024,
+        shmem_conflict_degree: 48,
+        program: ProgramSpec {
+            body_len: 16,
+            dep_distance: 1,
+            shmem_frac: 0.5,
+            gload_frac: 0.1,
+            ..ProgramSpec::default()
+        }
+        .generate(),
+        iterations: 8,
+        ..kernel_mix()[0].clone()
+    };
+    let descs = vec![desc];
+    let mut sm = Sm::new(0, &cfg, SchedulerKind::GreedyThenOldest);
+    let mut mem = MemSubsystem::new(&cfg);
+    let mut kernel_insts = vec![0u64];
+    let mut responses = Vec::new();
+    for c in 0..2 {
+        assert!(sm.launch_cta(&descs[0], KernelId(0), c));
+    }
+    let mut longest_wait = 0u64;
+    let mut now = 0u64;
+    while now < 6_000 {
+        sm.tick(now, &mut mem, &descs, &mut kernel_insts);
+        responses.clear();
+        mem.tick(now, &mut responses);
+        let lines: Vec<_> = responses.iter().map(|r| r.line).collect();
+        sm.on_fill_batch(&lines, now);
+        sm.check_scoreboard();
+        let t = sm.scoreboard();
+        if t.raw_wake() != u64::MAX {
+            longest_wait = longest_wait.max(t.raw_wake() - now);
+        }
+        // Every 500 cycles jump past the whole wheel but short of the
+        // longest wait, so overflow slots are refiled onto the wheel.
+        now += if now.is_multiple_of(500) { 100 } else { 1 };
+    }
+    assert!(kernel_insts[0] > 0, "the run must make progress");
+    assert!(
+        longest_wait > wheel,
+        "expected a RAW wait longer than the {wheel}-cycle wheel, longest was {longest_wait}"
     );
 }
 
