@@ -58,7 +58,7 @@ use gpu_sim::{AccessPattern, Gpu, GpuConfig, KernelDesc, ProgramSpec, SchedulerK
 use warped_slicer::store::DEFAULT_STORE_CAPACITY;
 use warped_slicer::{
     antt, chrome_trace, execute, fairness, jsonl, run_isolation, validate_jsonl, CurveStore,
-    PolicyKind, RunConfig, SharedCurveStore, SimJob, TraceOptions, WarpedSlicerConfig,
+    PolicyKind, RunConfig, SharedCurveStore, SimJob, SweepWindow, TraceOptions, WarpedSlicerConfig,
 };
 use ws_analyze::Severity;
 use ws_workloads::by_abbrev;
@@ -303,7 +303,7 @@ fn predict(desc: &KernelDesc, cfg: &GpuConfig) -> ExitCode {
             println!("  predicted knee   : {} of 1..={max} CTAs/SM", curve.knee);
             println!(
                 "  profiling window : dense 1..={} + guard at {max} (full sweep if a guard rejects)",
-                curve.knee.saturating_add(1).min(max),
+                SweepWindow::around_knee(curve.knee, max).hi(),
             );
             ExitCode::SUCCESS
         }

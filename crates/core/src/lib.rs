@@ -72,8 +72,8 @@ pub use policy::{
     PolicyKind, QuotaController, SpatialController, WarpedSlicerConfig, WarpedSlicerController,
 };
 pub use profiler::{
-    build_curves, build_curves_audited, profile_curves, ProfilePlan, ProfilePlanError,
-    ProfileSample, ProfileTiming, SmAssignment,
+    build_curves, build_curves_audited, profile_curves, ProfilePlan, ProfileSample, ProfileTiming,
+    SmAssignment,
 };
 pub use resources::ResourceVec;
 pub use runner::{

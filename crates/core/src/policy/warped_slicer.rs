@@ -20,9 +20,16 @@ use crate::profiler::{
 };
 use crate::resources::ResourceVec;
 use crate::store::{KernelSignature, SharedCurveStore, StoreEntry};
-use crate::sweep::SweepWindow;
+use crate::sweep::SweepPlan;
 use crate::waterfill::{water_fill_traced, KernelCurve};
-use ws_analyze::predict_kernel;
+
+/// Phase-monitor window length in cycles: one 5 K-cycle profile run.
+const PHASE_WINDOW: u64 = 5_000;
+
+/// Windows to wait after a decision before arming the phase monitor, so
+/// the drain of over-quota profile CTAs (Fig. 2e) is not mistaken for a
+/// program phase change.
+const PHASE_SETTLE_WINDOWS: u64 = 4;
 
 /// Tunables for the Warped-Slicer controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,23 +46,12 @@ pub struct WarpedSlicerConfig {
     /// Monitor per-kernel IPC after the decision and re-profile on
     /// sustained change (Sec. IV-B).
     pub enable_phase_monitor: bool,
-    /// Phase-monitor window length in cycles.
-    pub phase_window: u64,
-    /// Windows to wait after a decision before arming the phase monitor,
-    /// so the drain of over-quota profile CTAs (Fig. 2e) is not mistaken
-    /// for a program phase change.
-    pub phase_settle_windows: u32,
     /// Record a [`DecisionAudit`] of every scaling application,
     /// water-filling grant, fallback verdict, and phase-monitor window.
     /// Recording happens only at decision points, so the simulated run is
     /// identical either way; off by default, when the controller's audit
     /// drops every event without building it.
     pub audit: bool,
-    /// Plan the profiling ramp from `ws-predict` static curves: each
-    /// kernel's SM group concentrates its CTA counts in a window around the
-    /// predicted knee (guarding the feasibility bound) instead of the plain
-    /// `1..=N` ramp. On by default.
-    pub predict: bool,
     /// Attach a shared ws-store performance-curve cache. Before installing
     /// profiling windows the controller looks every kernel's signature up
     /// in the store; when all of them hit, the memoized curves go straight
@@ -74,10 +70,7 @@ impl Default for WarpedSlicerConfig {
             loss_threshold: None,
             enable_scaling: true,
             enable_phase_monitor: true,
-            phase_window: 5_000,
-            phase_settle_windows: 4,
             audit: false,
-            predict: true,
             store: None,
         }
     }
@@ -137,7 +130,6 @@ pub struct WarpedSlicerController {
     phase_armed_at: u64,
     dram_busy_snap: u64,
     reprofiles: u32,
-    last_samples: Vec<ProfileSample>,
     known_kernels: usize,
     audit: DecisionAudit,
     store_keys: Vec<Option<KernelSignature>>,
@@ -164,19 +156,11 @@ impl WarpedSlicerController {
             phase_armed_at: 0,
             dram_busy_snap: 0,
             reprofiles: 0,
-            last_samples: Vec::new(),
             known_kernels: 0,
             audit,
             store_keys: Vec::new(),
             warm_decisions: 0,
         }
-    }
-
-    /// The raw per-SM samples behind the most recent decision (for
-    /// diagnostics and the experiment harness).
-    #[must_use]
-    pub fn last_samples(&self) -> &[ProfileSample] {
-        &self.last_samples
     }
 
     /// How many times the phase monitor forced a re-profile.
@@ -197,44 +181,6 @@ impl WarpedSlicerController {
             .iter()
             .map(|&k| gpu.kernel_desc(k).max_ctas_per_sm(&gpu.config().sm).max(1))
             .collect()
-    }
-
-    /// Builds the profiling plan, windowed by `ws-predict` static curves
-    /// when prediction is enabled. Kernels whose prediction fails
-    /// pre-flight keep their full `1..=N` ramp — pruning is an
-    /// optimization, never a gate.
-    fn plan_profile(&mut self, gpu: &Gpu, max: &[u32]) -> ProfilePlan {
-        if !self.cfg.predict {
-            return ProfilePlan::build(gpu.num_sms(), max);
-        }
-        let cfg = gpu.config();
-        let windows: Vec<SweepWindow> = gpu
-            .kernel_ids()
-            .iter()
-            .zip(max)
-            .enumerate()
-            .map(
-                |(i, (&k, &m))| match predict_kernel(gpu.kernel_desc(k), cfg) {
-                    Ok(curve) => {
-                        let w = SweepWindow::around_knee(curve.knee, m);
-                        self.audit.record_with(move || AuditEvent::PredictedCurve {
-                            kernel: i,
-                            perf: curve.ipc,
-                            knee: curve.knee,
-                        });
-                        self.audit.record(AuditEvent::SweepWindow {
-                            kernel: i,
-                            lo: w.lo,
-                            hi: w.hi,
-                            max: w.max,
-                        });
-                        w
-                    }
-                    Err(_) => SweepWindow::full(m),
-                },
-            )
-            .collect();
-        ProfilePlan::build_windowed(gpu.num_sms(), &windows)
     }
 
     /// Re-derives the per-kernel store signatures for the current kernel
@@ -289,8 +235,6 @@ impl WarpedSlicerController {
         let Some(curves) = curves.into_iter().collect::<Option<Vec<Vec<f64>>>>() else {
             return false;
         };
-        // Warm hit: no samples back this decision.
-        self.last_samples.clear();
         self.warm_decisions += 1;
         self.decide_from_curves(gpu, curves);
         true
@@ -335,9 +279,19 @@ impl WarpedSlicerController {
             return;
         }
         let now = gpu.cycle();
-        let max = Self::max_ctas(gpu);
-        let plan = self.plan_profile(gpu, &max);
         let ids = gpu.kernel_ids();
+        // Each kernel's SM group ramps over its `ws-predict` window: dense
+        // around the predicted knee, guarded at the feasibility bound. A
+        // kernel whose prediction fails pre-flight keeps its full `1..=N`
+        // ramp — pruning is an optimization, never a gate.
+        let descs: Vec<&KernelDesc> = ids.iter().map(|&k| gpu.kernel_desc(k)).collect();
+        let sweep = SweepPlan::from_predictions_audited(
+            &descs,
+            &Self::max_ctas(gpu),
+            gpu.config(),
+            &mut self.audit,
+        );
+        let plan = ProfilePlan::build_windowed(gpu.num_sms(), &sweep.windows);
         for a in &plan.assignments {
             for &k in &ids {
                 let w = if k.0 == a.kernel {
@@ -423,7 +377,6 @@ impl WarpedSlicerController {
             })
             .collect();
 
-        self.last_samples = samples.clone();
         let max = Self::max_ctas(gpu);
         let curves = build_curves_audited(&samples, &max, &mut self.audit);
         self.store_insert(gpu, &curves);
@@ -533,8 +486,7 @@ impl WarpedSlicerController {
         }
         self.phase = Phase::Run;
         self.last_phase_check = gpu.cycle();
-        self.phase_armed_at =
-            gpu.cycle() + u64::from(self.cfg.phase_settle_windows) * self.cfg.phase_window;
+        self.phase_armed_at = gpu.cycle() + PHASE_SETTLE_WINDOWS * PHASE_WINDOW;
         self.last_kernel_insts = ids.iter().map(|&k| gpu.kernel_insts(k)).collect();
         self.monitors = ids.iter().map(|_| PhaseMonitor::paper_default()).collect();
         self.tracker.invalidate();
@@ -542,7 +494,7 @@ impl WarpedSlicerController {
 
     fn run_phase_monitor(&mut self, gpu: &mut Gpu) {
         let now = gpu.cycle();
-        if now - self.last_phase_check < self.cfg.phase_window {
+        if now - self.last_phase_check < PHASE_WINDOW {
             return;
         }
         if now < self.phase_armed_at {
@@ -666,7 +618,7 @@ impl Controller for WarpedSlicerController {
                 Some(until)
             }
             Phase::Run if self.cfg.enable_phase_monitor && !self.released => {
-                Some(self.last_phase_check + self.cfg.phase_window)
+                Some(self.last_phase_check + PHASE_WINDOW)
             }
             Phase::Run => None,
         }
@@ -686,8 +638,6 @@ mod tests {
                 sample: 2_000,
                 algorithm_delay: 0,
             },
-            // The plain 1..=N ramp these tests assert on.
-            predict: false,
             ..WarpedSlicerConfig::default()
         }
     }
@@ -710,21 +660,8 @@ mod tests {
     }
 
     #[test]
-    fn profiling_assigns_ramped_cta_counts() {
-        let (gpu, c) = run_pair("IMG", "NN", 1_500, fast_cfg());
-        assert!(matches!(c.phase, Phase::Warmup { .. }));
-        // During profiling, SM 0 holds 1 CTA of IMG, SM 7 holds 8.
-        assert_eq!(gpu.sm(0).kernel_ctas(0), 1);
-        assert_eq!(gpu.sm(7).kernel_ctas(0), 8);
-        assert_eq!(gpu.sm(0).kernel_ctas(1), 0, "exclusive profiling SMs");
-        assert_eq!(gpu.sm(8).kernel_ctas(1), 1);
-        assert_eq!(gpu.sm(15).kernel_ctas(1), 8);
-    }
-
-    #[test]
     fn predicted_windows_shape_the_profiling_ramp() {
         let cfg = WarpedSlicerConfig {
-            predict: true,
             audit: true,
             ..fast_cfg()
         };
@@ -735,6 +672,7 @@ mod tests {
         // last (IMG and NN both cap at 8).
         assert_eq!(gpu.sm(0).kernel_ctas(0), 1);
         assert_eq!(gpu.sm(7).kernel_ctas(0), 8);
+        assert_eq!(gpu.sm(0).kernel_ctas(1), 0, "exclusive profiling SMs");
         assert_eq!(gpu.sm(8).kernel_ctas(1), 1);
         assert_eq!(gpu.sm(15).kernel_ctas(1), 8);
         // The audit holds the predicted curve and chosen window per kernel.
@@ -751,17 +689,27 @@ mod tests {
     }
 
     #[test]
-    fn predicted_windows_still_reach_a_co_location_decision() {
-        let cfg = WarpedSlicerConfig {
-            predict: true,
-            ..fast_cfg()
-        };
-        let (_, c) = run_pair("IMG", "NN", 40_000, cfg);
-        let d = c.decision().expect("decision after sampling");
-        assert!(!d.spatial_fallback, "IMG+NN should still co-locate");
-        let quotas = d.quotas.as_ref().expect("feasible quotas");
-        assert_eq!(quotas.len(), 2);
-        assert!(quotas.iter().all(|&q| (1..=8).contains(&q)), "{quotas:?}");
+    fn online_ramp_is_the_offline_sweep_plan_on_every_pair() {
+        let pairs = ws_workloads::all_pairs();
+        assert_eq!(pairs.len(), 30);
+        for pair in &pairs {
+            let mut gpu = Gpu::new(GpuConfig::isca_baseline(), SchedulerKind::GreedyThenOldest);
+            gpu.add_kernel(pair.a.desc.clone());
+            gpu.add_kernel(pair.b.desc.clone());
+            WarpedSlicerController::new(fast_cfg()).on_cycle(&mut gpu);
+            let cfg = gpu.config();
+            let descs = [&pair.a.desc, &pair.b.desc];
+            let max = descs.map(|d| d.max_ctas_per_sm(&cfg.sm));
+            let sweep = SweepPlan::from_predictions(&descs, &max, cfg);
+            let plan = ProfilePlan::build_windowed(gpu.num_sms(), &sweep.windows);
+            assert_eq!(plan.assignments.len(), gpu.num_sms());
+            for a in &plan.assignments {
+                let quota = |k: usize| gpu.sm(a.sm).window(k).map(|w| w.max_ctas);
+                let label = pair.label();
+                assert_eq!(quota(a.kernel), Some(a.quota), "{label} SM {}", a.sm);
+                assert_eq!(quota(1 - a.kernel), Some(0), "{label} SM {}", a.sm);
+            }
+        }
     }
 
     #[test]
@@ -773,6 +721,7 @@ mod tests {
         assert!(!d.spatial_fallback, "IMG+NN should co-locate");
         let quotas = d.quotas.as_ref().unwrap();
         assert_eq!(quotas.len(), 2);
+        assert!(quotas.iter().all(|&q| (1..=8).contains(&q)), "{quotas:?}");
         // The paper's Fig. 3b intuition: IMG (saturating compute) gets more
         // CTAs than cache-sensitive NN's thrash point would allow it.
         assert!(quotas[0] >= 3, "IMG quota: {quotas:?}");
@@ -889,25 +838,22 @@ mod tests {
     #[test]
     fn audit_on_and_off_make_bit_equal_decisions() {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        for predict in [false, true] {
-            let decide = |audit: bool| {
-                let cfg = WarpedSlicerConfig {
-                    audit,
-                    predict,
-                    ..fast_cfg()
-                };
-                let (_, c) = run_pair("IMG", "NN", 12_000, cfg);
-                c.decision().expect("decision made").clone()
+        let decide = |audit: bool| {
+            let cfg = WarpedSlicerConfig {
+                audit,
+                ..fast_cfg()
             };
-            let (on, off) = (decide(true), decide(false));
-            assert_eq!(on.quotas, off.quotas, "predict={predict}");
-            assert_eq!(on.spatial_fallback, off.spatial_fallback);
-            assert_eq!(on.decided_at, off.decided_at);
-            assert_eq!(bits(&on.predicted_perf), bits(&off.predicted_perf));
-            assert_eq!(on.measured_curves.len(), off.measured_curves.len());
-            for (a, b) in on.measured_curves.iter().zip(&off.measured_curves) {
-                assert_eq!(bits(a), bits(b), "predict={predict}");
-            }
+            let (_, c) = run_pair("IMG", "NN", 12_000, cfg);
+            c.decision().expect("decision made").clone()
+        };
+        let (on, off) = (decide(true), decide(false));
+        assert_eq!(on.quotas, off.quotas);
+        assert_eq!(on.spatial_fallback, off.spatial_fallback);
+        assert_eq!(on.decided_at, off.decided_at);
+        assert_eq!(bits(&on.predicted_perf), bits(&off.predicted_perf));
+        assert_eq!(on.measured_curves.len(), off.measured_curves.len());
+        for (a, b) in on.measured_curves.iter().zip(&off.measured_curves) {
+            assert_eq!(bits(a), bits(b));
         }
     }
 
@@ -961,7 +907,6 @@ mod tests {
         for (w, c) in warm_d.measured_curves.iter().zip(&cold_d.measured_curves) {
             assert_eq!(bits(w), bits(c), "warm curves bit-equal to cold");
         }
-        assert!(warm.last_samples().is_empty(), "warm path has no samples");
     }
 
     #[test]
@@ -989,6 +934,13 @@ mod tests {
             .filter(|e| matches!(e, AuditEvent::StoreHit { .. }))
             .count();
         assert_eq!(hits, 2, "repeat arrival hits both kernels");
+        assert!(
+            !audit
+                .events
+                .iter()
+                .any(|e| matches!(e, AuditEvent::ScaledPoint { .. })),
+            "the warm decision scales no samples"
+        );
         // Warm decisions stay replayable from the audit alone.
         let d = warm.decision().expect("warm decision");
         let quotas = d.quotas.as_ref().expect("co-located");

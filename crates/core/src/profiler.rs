@@ -54,31 +54,6 @@ pub struct SmAssignment {
     pub quota: u32,
 }
 
-/// A structural defect in a prediction-windowed profiling plan: one
-/// kernel's [`SweepWindow`] plans no CTA caps at all, so its SM group
-/// would have nothing to probe. Historically this was papered over by
-/// silently assigning the group 1 CTA — a degenerate plan that profiles
-/// the wrong point; now it is a first-class planning error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProfilePlanError {
-    /// Kernel slot whose window was empty.
-    pub kernel: usize,
-    /// The offending window.
-    pub window: SweepWindow,
-}
-
-impl std::fmt::Display for ProfilePlanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "kernel {} window {}..={} (max {}) plans no CTA caps",
-            self.kernel, self.window.lo, self.window.hi, self.window.max
-        )
-    }
-}
-
-impl std::error::Error for ProfilePlanError {}
-
 /// The profiling plan: one assignment per SM.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfilePlan {
@@ -87,19 +62,28 @@ pub struct ProfilePlan {
 }
 
 impl ProfilePlan {
-    /// Builds the Fig. 4 plan: SMs are split into `max_ctas.len()`
-    /// contiguous groups; within kernel `i`'s group the CTA quota ramps
-    /// from 1 up to `max_ctas[i]` (duplicating the densest counts when the
-    /// group has more SMs than distinct counts, spreading evenly when it
-    /// has fewer).
+    /// Builds the Fig. 4 plan: SMs are split into `windows.len()`
+    /// contiguous groups, and kernel `i`'s group ramps over its
+    /// [`SweepWindow::planned_caps`] — duplicating counts when the group
+    /// has more SMs than caps, spreading evenly when it has fewer, and
+    /// always probing 1 CTA first and the last planned cap last. For a
+    /// prediction-pruned window that is the dense prefix around the
+    /// predicted knee plus the guard points, so online sampling
+    /// concentrates where the knee is expected while the guard at the
+    /// feasibility bound still checks the skipped tail; a full window
+    /// ramps `1..=max`. A one-SM group spends its single sample on
+    /// [`SweepWindow::knee_cap`] — the predicted knee — because a knee
+    /// sample anchors the curve's ramp where a guard-bound sample alone
+    /// would flatline it (the K == `num_sms` co-run case).
     ///
     /// # Examples
     ///
     /// ```
     /// use warped_slicer::profiler::ProfilePlan;
+    /// use warped_slicer::sweep::SweepPlan;
     ///
     /// // Two kernels on 16 SMs: kernel 0 profiles 1..=8 CTAs on SMs 0-7.
-    /// let plan = ProfilePlan::build(16, &[8, 8]);
+    /// let plan = ProfilePlan::build_windowed(16, &SweepPlan::full(&[8, 8]).windows);
     /// let quotas: Vec<u32> = plan.for_kernel(0).map(|a| a.quota).collect();
     /// assert_eq!(quotas, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     /// ```
@@ -108,60 +92,7 @@ impl ProfilePlan {
     ///
     /// Panics if there are no kernels or more kernels than SMs.
     #[must_use]
-    pub fn build(num_sms: usize, max_ctas: &[u32]) -> Self {
-        let k = max_ctas.len();
-        assert!(k > 0, "at least one kernel required");
-        assert!(k <= num_sms, "more kernels than SMs");
-        let mut assignments = Vec::with_capacity(num_sms);
-        let base = num_sms / k;
-        let extra = num_sms % k;
-        let mut sm = 0;
-        for (i, &max) in max_ctas.iter().enumerate() {
-            let group = base + usize::from(i < extra);
-            for j in 0..group {
-                let quota = if group == 1 {
-                    max.max(1)
-                } else {
-                    // Evenly spread 1..=max over the group (rounding up so
-                    // the last SM always probes the maximum).
-                    let max = f64::from(max.max(1));
-                    (1.0 + (max - 1.0) * j as f64 / (group - 1) as f64).round() as u32
-                };
-                assignments.push(SmAssignment {
-                    sm,
-                    kernel: i,
-                    quota: quota.max(1),
-                });
-                sm += 1;
-            }
-        }
-        Self { assignments }
-    }
-
-    /// The prediction-windowed variant of [`ProfilePlan::build`]: kernel
-    /// `i`'s SM group ramps over its [`SweepWindow::planned_caps`] — the
-    /// dense prefix around the predicted knee plus the guard points — so
-    /// online sampling concentrates where the knee is expected while the
-    /// guard at the feasibility bound still checks the skipped tail. A
-    /// full window reproduces [`ProfilePlan::build`] exactly. A one-SM
-    /// group spends its single sample on [`SweepWindow::knee_cap`] — the
-    /// predicted knee — because a knee sample anchors the curve's ramp
-    /// where a guard-bound sample alone would flatline it (the K ==
-    /// `num_sms` co-run case).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProfilePlanError`] when a window plans no CTA caps at
-    /// all (e.g. an inverted `lo > hi` range with no guard) — there would
-    /// be nothing for that kernel's SM group to probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are no kernels or more kernels than SMs.
-    pub fn try_build_windowed(
-        num_sms: usize,
-        windows: &[SweepWindow],
-    ) -> Result<Self, ProfilePlanError> {
+    pub fn build_windowed(num_sms: usize, windows: &[SweepWindow]) -> Self {
         let k = windows.len();
         assert!(k > 0, "at least one kernel required");
         assert!(k <= num_sms, "more kernels than SMs");
@@ -172,70 +103,27 @@ impl ProfilePlan {
         for (i, w) in windows.iter().enumerate() {
             let group = base + usize::from(i < extra);
             let caps = w.planned_caps();
-            if caps.is_empty() {
-                return Err(ProfilePlanError {
-                    kernel: i,
-                    window: *w,
-                });
-            }
             let last = caps.len() - 1;
             for j in 0..group {
-                let idx = if group == 1 {
+                let quota = if group == 1 {
                     // One sample for the whole kernel: probe the predicted
                     // knee, not the guard.
-                    caps.iter().position(|&c| c == w.knee_cap()).unwrap_or(last)
+                    w.knee_cap()
                 } else {
                     // Evenly spread the planned caps over the group
                     // (rounding so the last SM always probes the guard).
                     let t = j as f64 / (group - 1) as f64;
-                    (t * last as f64).round() as usize
+                    caps[(t * last as f64).round() as usize]
                 };
-                let quota = caps.get(idx).copied().unwrap_or(1);
                 assignments.push(SmAssignment {
                     sm,
                     kernel: i,
-                    quota: quota.max(1),
+                    quota,
                 });
                 sm += 1;
             }
         }
-        Ok(Self { assignments })
-    }
-
-    /// The panic-on-defect wrapper around [`ProfilePlan::try_build_windowed`]
-    /// for callers on the hot decision path. An empty window is an
-    /// invariant violation under strict-invariants; release builds widen
-    /// every empty window to its full `1..=max` ramp and retry, so the
-    /// profile degrades to the unpruned plan instead of probing a
-    /// fabricated 1-CTA point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are no kernels or more kernels than SMs, and —
-    /// under `debug_assertions` or the `strict-invariants` feature — if
-    /// any window plans no CTA caps.
-    #[must_use]
-    pub fn build_windowed(num_sms: usize, windows: &[SweepWindow]) -> Self {
-        match Self::try_build_windowed(num_sms, windows) {
-            Ok(plan) => plan,
-            Err(e) => {
-                gpu_sim::strict_assert!(false, "windowed profile plan invalid: {e}");
-                let widened: Vec<SweepWindow> = windows
-                    .iter()
-                    .map(|w| {
-                        if w.planned_caps().is_empty() {
-                            SweepWindow::full(w.max)
-                        } else {
-                            *w
-                        }
-                    })
-                    .collect();
-                // Full windows always plan caps, so the retry cannot fail.
-                Self::try_build_windowed(num_sms, &widened).unwrap_or(Self {
-                    assignments: Vec::new(),
-                })
-            }
-        }
+        Self { assignments }
     }
 
     /// Assignments belonging to kernel `kernel`.
@@ -437,10 +325,16 @@ pub(crate) fn interpolate_counts(sums: &[f64], counts: &[u32]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepPlan;
+
+    /// The unpruned Fig. 4 ramp: full windows for every kernel.
+    fn full_plan(num_sms: usize, max_ctas: &[u32]) -> ProfilePlan {
+        ProfilePlan::build_windowed(num_sms, &SweepPlan::full(max_ctas).windows)
+    }
 
     #[test]
     fn two_kernel_plan_splits_sms_evenly() {
-        let plan = ProfilePlan::build(16, &[8, 8]);
+        let plan = full_plan(16, &[8, 8]);
         assert_eq!(plan.assignments.len(), 16);
         assert_eq!(plan.for_kernel(0).count(), 8);
         assert_eq!(plan.for_kernel(1).count(), 8);
@@ -453,7 +347,7 @@ mod tests {
 
     #[test]
     fn small_max_duplicates_counts() {
-        let plan = ProfilePlan::build(16, &[3, 8]);
+        let plan = full_plan(16, &[3, 8]);
         let quotas: Vec<u32> = plan.for_kernel(0).map(|a| a.quota).collect();
         assert_eq!(quotas.len(), 8);
         assert_eq!(*quotas.first().unwrap(), 1);
@@ -463,7 +357,7 @@ mod tests {
 
     #[test]
     fn three_kernel_plan_covers_all_sms() {
-        let plan = ProfilePlan::build(16, &[8, 6, 8]);
+        let plan = full_plan(16, &[8, 6, 8]);
         assert_eq!(plan.assignments.len(), 16);
         // 16 = 6 + 5 + 5.
         assert_eq!(plan.for_kernel(0).count(), 6);
@@ -478,15 +372,6 @@ mod tests {
         let mut sms: Vec<usize> = plan.assignments.iter().map(|a| a.sm).collect();
         sms.sort_unstable();
         assert_eq!(sms, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn windowed_plan_with_full_windows_matches_build() {
-        let windows = [SweepWindow::full(8), SweepWindow::full(8)];
-        assert_eq!(
-            ProfilePlan::build_windowed(16, &windows),
-            ProfilePlan::build(16, &[8, 8])
-        );
     }
 
     #[test]
@@ -673,7 +558,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "more kernels than SMs")]
     fn too_many_kernels_rejected() {
-        let _ = ProfilePlan::build(2, &[1, 1, 1]);
+        let _ = full_plan(2, &[1, 1, 1]);
     }
 
     #[test]
@@ -689,13 +574,9 @@ mod tests {
         let plan = ProfilePlan::build_windowed(2, &windows);
         let quotas: Vec<u32> = plan.assignments.iter().map(|a| a.quota).collect();
         assert_eq!(quotas, vec![2, 4]);
-        // Full windows keep probing the bound, matching ProfilePlan::build.
-        let full = [SweepWindow::full(8), SweepWindow::full(6)];
-        let plan = ProfilePlan::build_windowed(2, &full);
+        // Full windows keep probing the bound.
+        let plan = full_plan(2, &[8, 6]);
         let quotas: Vec<u32> = plan.assignments.iter().map(|a| a.quota).collect();
-        assert_eq!(quotas, vec![8, 6]);
-        let built = ProfilePlan::build(2, &[8, 6]);
-        let quotas: Vec<u32> = built.assignments.iter().map(|a| a.quota).collect();
         assert_eq!(quotas, vec![8, 6]);
     }
 
@@ -715,48 +596,5 @@ mod tests {
         assert!(c[0] < c[3], "curve ramps up to the knee: {c:?}");
         assert!((c[3] - 2.0).abs() < 1e-12, "knee point is exact");
         assert!((c[7] - 2.0).abs() < 1e-12, "right of the sample clamps");
-    }
-
-    #[test]
-    fn empty_window_is_a_structured_planning_error() {
-        // An inverted window with no guard plans nothing to probe.
-        let empty = SweepWindow {
-            lo: 9,
-            hi: 8,
-            max: 8,
-        };
-        assert!(empty.planned_caps().is_empty());
-        let err = ProfilePlan::try_build_windowed(16, &[SweepWindow::full(8), empty])
-            .expect_err("empty window is rejected");
-        assert_eq!(err.kernel, 1, "the offending kernel is named");
-        assert_eq!(err.window, empty);
-        assert!(err.to_string().contains("kernel 1"), "{err}");
-    }
-
-    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-    #[test]
-    #[should_panic(expected = "plans no CTA caps")]
-    fn build_windowed_panics_on_empty_window_under_strict_invariants() {
-        let empty = SweepWindow {
-            lo: 9,
-            hi: 8,
-            max: 8,
-        };
-        let _ = ProfilePlan::build_windowed(16, &[SweepWindow::full(8), empty]);
-    }
-
-    #[cfg(not(any(debug_assertions, feature = "strict-invariants")))]
-    #[test]
-    fn build_windowed_widens_an_empty_window_to_the_full_ramp_in_release() {
-        let empty = SweepWindow {
-            lo: 9,
-            hi: 8,
-            max: 8,
-        };
-        let full = SweepWindow::full(8);
-        assert_eq!(
-            ProfilePlan::build_windowed(16, &[full, empty]),
-            ProfilePlan::build_windowed(16, &[full, full])
-        );
     }
 }

@@ -23,14 +23,17 @@
 //!
 //! When either check fails the kernel falls back to the full sweep
 //! (a second round in [`profile_curves_planned`]); a [`SweepPlan::full`]
-//! plan, or `predict: false` on the online controller's
-//! [`WarpedSlicerConfig`](crate::policy::WarpedSlicerConfig), skips pruning
-//! altogether. Accepted gaps are filled by
+//! plan skips pruning altogether. The online controller plans its in-GPU
+//! profiling ramp from the same windows
+//! ([`SweepPlan::from_predictions_audited`], spread over SM groups by
+//! [`ProfilePlan::build_windowed`](crate::profiler::ProfilePlan::build_windowed)).
+//! Accepted gaps are filled by
 //! linear interpolation between sampled points — interpolated values are
 //! bounded by their sampled endpoints, so they can never introduce a new
 //! staircase step, which is what makes the accepted-pruned curve
 //! water-fill-equivalent to the full sweep.
 
+use crate::audit::{AuditEvent, DecisionAudit};
 use crate::profiler::interpolate_counts;
 use crate::runner::{execute, RunConfig, SimJob};
 use gpu_sim::{GpuConfig, KernelDesc};
@@ -38,26 +41,22 @@ use ws_analyze::predict_kernel;
 
 /// One kernel's profiling window over the CTA axis: sample CTA counts
 /// `lo..=hi` densely, guard the skipped tail, interpolate the rest.
+///
+/// The constructors keep `1 == lo <= hi <= max`, so every window plans at
+/// least one CTA count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepWindow {
-    /// First CTA count of the dense window (>= 1).
-    pub lo: u32,
-    /// Last CTA count of the dense window (`lo <= hi <= max`).
-    pub hi: u32,
-    /// The kernel's Eq. 1 feasibility bound `N` (curve length).
-    pub max: u32,
+    hi: u32,
+    max: u32,
 }
 
 impl SweepWindow {
-    /// The unpruned window: sample every count `1..=max`.
+    /// The unpruned window: sample every count `1..=max` (`max` is raised
+    /// to 1 if it is 0).
     #[must_use]
     pub fn full(max: u32) -> Self {
         let max = max.max(1);
-        Self {
-            lo: 1,
-            hi: max,
-            max,
-        }
+        Self { hi: max, max }
     }
 
     /// A ±1 window around a predicted knee, clamped to `[1, max]`. The
@@ -67,16 +66,34 @@ impl SweepWindow {
     pub fn around_knee(knee: u32, max: u32) -> Self {
         let max = max.max(1);
         Self {
-            lo: 1,
             hi: knee.saturating_add(1).clamp(1, max),
             max,
         }
     }
 
+    /// First CTA count of the dense window: always 1, since water-filling
+    /// needs the ramp up to the knee.
+    #[must_use]
+    pub fn lo(&self) -> u32 {
+        1
+    }
+
+    /// Last CTA count of the dense window (`lo <= hi <= max`).
+    #[must_use]
+    pub fn hi(&self) -> u32 {
+        self.hi
+    }
+
+    /// The kernel's Eq. 1 feasibility bound `N` (curve length, >= 1).
+    #[must_use]
+    pub fn max(&self) -> u32 {
+        self.max
+    }
+
     /// Whether this window samples the whole curve.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.lo <= 1 && self.hi >= self.max
+        self.hi == self.max
     }
 
     /// The single most informative CTA count when only one sample can be
@@ -88,18 +105,19 @@ impl SweepWindow {
     #[must_use]
     pub fn knee_cap(&self) -> u32 {
         if self.is_full() {
-            self.max.max(1)
+            self.max
         } else {
-            self.hi.saturating_sub(1).max(self.lo).max(1)
+            (self.hi - 1).max(1)
         }
     }
 
     /// The CTA counts a pruned offline sweep actually simulates: the dense
-    /// prefix `lo..=hi`, a guard at `max`, and a midpoint guard when the
-    /// skipped gap spans more than two counts. Sorted, deduplicated.
+    /// prefix `1..=hi`, a guard at `max`, and a midpoint guard when the
+    /// skipped gap spans more than two counts. Sorted, distinct, never
+    /// empty.
     #[must_use]
     pub fn planned_caps(&self) -> Vec<u32> {
-        let mut caps: Vec<u32> = (self.lo.max(1)..=self.hi.min(self.max)).collect();
+        let mut caps: Vec<u32> = (1..=self.hi).collect();
         if self.hi < self.max {
             let gap = self.max - self.hi;
             if gap > 2 {
@@ -107,7 +125,6 @@ impl SweepWindow {
             }
             caps.push(self.max);
         }
-        caps.dedup();
         caps
     }
 }
@@ -134,11 +151,40 @@ impl SweepPlan {
     /// window — pruning is an optimization, never a gate.
     #[must_use]
     pub fn from_predictions(descs: &[&KernelDesc], max_ctas: &[u32], cfg: &GpuConfig) -> Self {
+        Self::from_predictions_audited(descs, max_ctas, cfg, &mut DecisionAudit::new(false))
+    }
+
+    /// [`SweepPlan::from_predictions`] with a decision-audit trail: for
+    /// each kernel whose prediction succeeds, an
+    /// [`AuditEvent::PredictedCurve`] followed by its
+    /// [`AuditEvent::SweepWindow`], in kernel order.
+    #[must_use]
+    pub fn from_predictions_audited(
+        descs: &[&KernelDesc],
+        max_ctas: &[u32],
+        cfg: &GpuConfig,
+        audit: &mut DecisionAudit,
+    ) -> Self {
         let windows = descs
             .iter()
             .zip(max_ctas)
-            .map(|(desc, &max)| match predict_kernel(desc, cfg) {
-                Ok(curve) => SweepWindow::around_knee(curve.knee, max),
+            .enumerate()
+            .map(|(kernel, (desc, &max))| match predict_kernel(desc, cfg) {
+                Ok(curve) => {
+                    let w = SweepWindow::around_knee(curve.knee, max);
+                    audit.record_with(move || AuditEvent::PredictedCurve {
+                        kernel,
+                        perf: curve.ipc,
+                        knee: curve.knee,
+                    });
+                    audit.record(AuditEvent::SweepWindow {
+                        kernel,
+                        lo: w.lo(),
+                        hi: w.hi,
+                        max: w.max,
+                    });
+                    w
+                }
                 Err(_) => SweepWindow::full(max),
             })
             .collect();
@@ -154,7 +200,7 @@ impl SweepPlan {
     /// Samples the full (unpruned) sweep would schedule.
     #[must_use]
     pub fn full_samples(&self) -> usize {
-        self.windows.iter().map(|w| w.max.max(1) as usize).sum()
+        self.windows.iter().map(|w| w.max as usize).sum()
     }
 
     /// Samples the plan avoids relative to the full sweep (before any
@@ -175,7 +221,7 @@ impl SweepPlan {
 /// must sample the remaining counts to preserve water-fill equivalence.
 #[must_use]
 pub fn accept_pruned(samples: &[(u32, f64)], window: &SweepWindow) -> Option<Vec<f64>> {
-    let n = window.max.max(1) as usize;
+    let n = window.max as usize;
     let value_at =
         |cap: u32| -> Option<f64> { samples.iter().find(|(c, _)| *c == cap).map(|(_, v)| *v) };
     if window.is_full() {
@@ -183,8 +229,8 @@ pub fn accept_pruned(samples: &[(u32, f64)], window: &SweepWindow) -> Option<Vec
         let curve: Option<Vec<f64>> = (1..=window.max).map(value_at).collect();
         return curve;
     }
-    let prefix: Vec<f64> = (window.lo..=window.hi).map_while(value_at).collect();
-    if prefix.len() != (window.hi - window.lo + 1) as usize || prefix.len() < 2 {
+    let prefix: Vec<f64> = (1..=window.hi).map_while(value_at).collect();
+    if prefix.len() != window.hi as usize || prefix.len() < 2 {
         return None;
     }
     let prefix_max = prefix.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -399,7 +445,7 @@ pub fn profile_curves_planned(
                 k.fallback = true;
                 let have: Vec<u32> = sorted.iter().map(|&(c, _)| c).collect();
                 let mut missing = 0usize;
-                for cap in 1..=w.max.max(1) {
+                for cap in 1..=w.max {
                     if !have.contains(&cap) {
                         tags.push((i, cap));
                         let job = SimJob::cta_cap(desc, cap, window, cfg);
@@ -462,14 +508,7 @@ mod tests {
     #[test]
     fn knee_window_samples_prefix_guard_and_midpoint() {
         let w = window(2, 8);
-        assert_eq!(
-            w,
-            SweepWindow {
-                lo: 1,
-                hi: 3,
-                max: 8
-            }
-        );
+        assert_eq!((w.lo(), w.hi(), w.max()), (1, 3, 8));
         // Dense prefix 1..=3, midpoint (3 + 5/2 = 5), guard at 8.
         assert_eq!(w.planned_caps(), vec![1, 2, 3, 5, 8]);
         let plan = SweepPlan {
@@ -478,6 +517,24 @@ mod tests {
         assert_eq!(plan.planned_samples(), 5 + 6);
         assert_eq!(plan.full_samples(), 8 + 6);
         assert_eq!(plan.samples_saved(), 3);
+    }
+
+    #[test]
+    fn every_window_is_ordered_and_plans_a_ramp_from_one_to_the_bound() {
+        for max in 0..=16 {
+            let windows = std::iter::once(SweepWindow::full(max))
+                .chain((0..=max + 2).map(|k| window(k, max)));
+            for w in windows {
+                assert!(
+                    1 <= w.lo() && w.lo() <= w.hi() && w.hi() <= w.max(),
+                    "{w:?}"
+                );
+                let caps = w.planned_caps();
+                assert!(caps.windows(2).all(|p| p[0] < p[1]), "{w:?}: {caps:?}");
+                assert_eq!(caps.first(), Some(&1), "{w:?}");
+                assert_eq!(caps.last(), Some(&max.max(1)), "{w:?}");
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,9 @@ use crate::verify::{self, KernelVerifyError};
 #[must_use]
 pub fn fast_forward_default() -> bool {
     static DEFAULT: OnceLock<bool> = OnceLock::new();
+    // The CI thread matrix drives this as a test axis, and fast-forward on
+    // and off give byte-identical outcomes, so the read cannot leak into
+    // simulated results; xtask-allow: determinism
     *DEFAULT.get_or_init(|| match std::env::var("WS_SIM_FASTFORWARD") {
         Ok(v) => !matches!(
             v.trim().to_ascii_lowercase().as_str(),

@@ -42,10 +42,12 @@
 //!   (`crates/gpu-sim/src`, `crates/core/src`), iteration over a
 //!   `HashMap`/`HashSet` (`.iter()`, `.keys()`, `.drain()`, a `for` loop
 //!   over one, …), wall-clock reads (`Instant::now`, `SystemTime`),
-//!   `thread::current`, and pointer-identity hashing (`ptr::hash`) are
-//!   forbidden: each one lets host state leak into simulated results,
-//!   breaking the byte-for-byte determinism contract (DESIGN.md §10). Use
-//!   `BTreeMap`/`BTreeSet` or an index-keyed `Vec`. Waivers for this rule
+//!   `thread::current`, pointer-identity hashing (`ptr::hash`) and
+//!   environment reads (`env::var`, `env::var_os`, `env::vars`,
+//!   `env::vars_os`) are forbidden: each one lets host state leak into
+//!   simulated results, breaking the byte-for-byte determinism contract
+//!   (DESIGN.md §10). Use `BTreeMap`/`BTreeSet` or an index-keyed `Vec`,
+//!   and make a behaviour knob an explicit config field. Waivers for this rule
 //!   **require a justification** (`// <why>; xtask-allow: determinism` or
 //!   `// xtask-allow: determinism -- <why>`).
 //!
@@ -538,13 +540,18 @@ fn per_file_rules(label: &str, src: &str, items: &FileItems, out: &mut Vec<Viola
             let host_thread =
                 txt == "thread" && t.text(i + 1) == "::" && t.text(i + 2) == "current";
             let ptr_hash = txt == "ptr" && t.text(i + 1) == "::" && t.text(i + 2) == "hash";
-            if wall_clock || host_thread || ptr_hash {
+            let env_read = txt == "env"
+                && t.text(i + 1) == "::"
+                && matches!(t.text(i + 2), "var" | "var_os" | "vars" | "vars_os");
+            if wall_clock || host_thread || ptr_hash || env_read {
                 let what = if wall_clock {
                     "wall-clock time"
                 } else if host_thread {
                     "host thread identity"
-                } else {
+                } else if ptr_hash {
                     "pointer-identity hashing"
+                } else {
+                    "the process environment"
                 };
                 emit(
                     out,
@@ -1245,6 +1252,35 @@ mod tests {
         assert_eq!(rules_found("crates/core/src/s.rs", &sys), ["determinism"]);
         let thr = format!("{DOC}fn f() {{ let _ = std::thread::current(); }}\n");
         assert_eq!(rules_found("crates/core/src/s.rs", &thr), ["determinism"]);
+    }
+
+    #[test]
+    fn determinism_flags_environment_reads() {
+        for read in [
+            "var(\"K\").is_ok()",
+            "var_os(\"K\").is_some()",
+            "vars().count() > 0",
+        ] {
+            let src = format!("{DOC}fn f() -> bool {{\n    std::env::{read}\n}}\n");
+            assert_eq!(
+                rules_found("crates/gpu-sim/src/s.rs", &src),
+                ["determinism"],
+                "{read}"
+            );
+            assert_eq!(rules_found("crates/core/src/s.rs", &src), ["determinism"]);
+            // Outside the simulator core and accounting layer, env knobs
+            // are allowed (e.g. the pool size in `crates/exec`).
+            assert!(rules_found("crates/exec/src/s.rs", &src).is_empty());
+        }
+        // `env!` is a compile-time macro, not a read of the process
+        // environment.
+        let macro_src = format!("{DOC}fn f() -> &'static str {{ env!(\"CARGO_PKG_NAME\") }}\n");
+        assert!(rules_found("crates/core/src/s.rs", &macro_src).is_empty());
+        let waived = format!(
+            "{DOC}fn f() -> bool {{\n    // a test axis only; xtask-allow: determinism\n    \
+             std::env::var(\"K\").is_ok()\n}}\n"
+        );
+        assert!(rules_found("crates/gpu-sim/src/s.rs", &waived).is_empty());
     }
 
     #[test]
