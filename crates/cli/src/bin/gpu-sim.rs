@@ -52,6 +52,7 @@
 //! ```
 
 use std::io::Write;
+use std::path::Path;
 use std::process::ExitCode;
 
 use gpu_sim::{AccessPattern, Gpu, GpuConfig, KernelDesc, ProgramSpec, SchedulerKind, StallReason};
@@ -434,18 +435,24 @@ fn load_or_new_store(path: &str, capacity: usize) -> Result<CurveStore, String> 
 ///
 /// The text goes to a sibling temp file that is synced and then renamed
 /// over `path`, so a crash mid-write leaves either the old file or the new
-/// one, never a truncated store that fails to load.
+/// one, never a truncated store that fails to load. The parent directory is
+/// synced after the rename, so the rename itself survives a crash.
 fn write_store(path: &str, store: &CurveStore) -> Result<usize, String> {
     let text = store.to_jsonl();
     let records =
         validate_jsonl(&text).map_err(|e| format!("internal: store file invalid: {e}"))?;
     let tmp = format!("{path}.tmp");
+    let dir = match Path::new(path).parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
     let written = std::fs::File::create(&tmp)
         .and_then(|mut f| {
             f.write_all(text.as_bytes())?;
             f.sync_all()
         })
-        .and_then(|()| std::fs::rename(&tmp, path));
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .and_then(|()| std::fs::File::open(dir)?.sync_all());
     if let Err(e) = written {
         // Best effort: the error that matters is the one being returned.
         let _ = std::fs::remove_file(&tmp);

@@ -68,8 +68,8 @@ pub use metrics::{antt, fairness, speedups, system_throughput};
 pub use oracle::{feasible_quotas, run_oracle, OracleResult};
 pub use phase::PhaseMonitor;
 pub use policy::{
-    make_controller, Controller, Decision, EvenController, FcfsController, LeftOverController,
-    PolicyKind, QuotaController, SpatialController, WarpedSlicerConfig, WarpedSlicerController,
+    make_controller, Controller, Decision, FcfsController, PolicyKind, Slicing, SlicingController,
+    WarpedSlicerConfig, WarpedSlicerController,
 };
 pub use profiler::{
     build_curves, build_curves_audited, profile_curves, ProfilePlan, ProfileSample, ProfileTiming,
@@ -81,7 +81,7 @@ pub use runner::{
     CorunResult, IsolationResult, RunConfig, SimJob, SimOutcome, StopCondition, TraceOptions,
     UtilizationStats,
 };
-pub use scaling::{psi, scale_ipc, scale_ipc_audited, ScaleOutcome};
+pub use scaling::{psi, ScaleOutcome};
 pub use store::{CurveKey, CurveStore, KernelSignature, SharedCurveStore, StoreEntry, StoreStats};
 pub use sweep::{
     accept_pruned, profile_curves_planned, DuplicateDelivery, PlannedSweep, SweepPlan, SweepWindow,

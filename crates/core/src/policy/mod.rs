@@ -1,12 +1,14 @@
 //! Multiprogramming policies (CTA-dispatch controllers).
 //!
 //! The simulator exposes launch primitives; a [`Controller`] decides every
-//! cycle which kernel's CTAs go where. This module implements the paper's
-//! baselines — [`LeftOverController`] (the Hyper-Q/CKE default),
-//! [`FcfsController`] (Fig. 2a), [`EvenController`] (even intra-SM split),
-//! [`SpatialController`] (inter-SM multitasking), [`QuotaController`]
-//! (a fixed CTA-quota intra-SM partition, used by the Oracle search) — and
-//! re-exports the dynamic [`WarpedSlicerController`].
+//! cycle which kernel's CTAs go where. Every baseline of the paper's Fig. 2
+//! except FCFS is a [`Slicing`] of each SM's resources among the kernels —
+//! shared (Left-Over, the Hyper-Q/CKE default), even, spatial (inter-SM),
+//! or fixed CTA quotas (used by the Oracle search) — and one
+//! [`SlicingController`] enforces all four through the same window table,
+//! release-on-halt and launch sweep. [`FcfsController`] (Fig. 2a)
+//! interleaves launches instead, and the dynamic [`WarpedSlicerController`]
+//! chooses which slicing to install, and when.
 
 mod warped_slicer;
 
@@ -97,25 +99,26 @@ pub trait Controller: std::fmt::Debug {
 /// Builds the controller for `kind`.
 #[must_use]
 pub fn make_controller(kind: &PolicyKind) -> Box<dyn Controller> {
-    match kind {
-        PolicyKind::LeftOver => Box::new(LeftOverController::new()),
-        PolicyKind::Fcfs => Box::new(FcfsController::new()),
-        PolicyKind::Even => Box::new(EvenController::new()),
-        PolicyKind::Spatial => Box::new(SpatialController::new()),
-        PolicyKind::Quota(q) => Box::new(QuotaController::new(q.clone())),
-        PolicyKind::WarpedSlicer(cfg) => Box::new(WarpedSlicerController::new(cfg.clone())),
-    }
+    let slicing = match kind {
+        PolicyKind::LeftOver => Slicing::Shared,
+        PolicyKind::Fcfs => return Box::new(FcfsController::new()),
+        PolicyKind::Even => Slicing::Even,
+        PolicyKind::Spatial => Slicing::Spatial,
+        PolicyKind::Quota(q) => Slicing::Quotas(q.clone()),
+        PolicyKind::WarpedSlicer(cfg) => return Box::new(WarpedSlicerController::new(cfg.clone())),
+    };
+    Box::new(SlicingController::new(slicing))
 }
 
 /// Cheap change detector: launch opportunities only appear when a CTA
 /// retires, a kernel halts, or the controller itself changed windows.
 #[derive(Debug, Default, Clone)]
-pub(crate) struct ChangeTracker {
+struct ChangeTracker {
     last: Option<(u64, usize)>,
 }
 
 impl ChangeTracker {
-    pub(crate) fn changed(&mut self, gpu: &Gpu) -> bool {
+    fn changed(&mut self, gpu: &Gpu) -> bool {
         let cur = (gpu.total_completed(), gpu.halted_kernels());
         if self.last == Some(cur) {
             false
@@ -126,10 +129,15 @@ impl ChangeTracker {
     }
 
     /// Forces the next `changed` call to report `true`.
-    pub(crate) fn invalidate(&mut self) {
+    fn invalidate(&mut self) {
         self.last = None;
     }
 }
+
+/// Per-SM, per-kernel partition windows: `table[sm][k]` constrains kernel
+/// slot `k` on SM `sm`, and `None` (or a row too short to reach `k`) leaves
+/// it unconstrained.
+pub(crate) type WindowTable = Vec<Vec<Option<PartitionWindow>>>;
 
 /// A window that blocks a kernel from an SM entirely.
 #[must_use]
@@ -145,7 +153,7 @@ pub(crate) fn blocked_window() -> PartitionWindow {
 /// The even-partitioning window for kernel-slot `i` of `k` kernels: slice
 /// `i` of every resource.
 #[must_use]
-pub(crate) fn even_window(cfg: &GpuConfig, i: usize, k: usize) -> PartitionWindow {
+fn even_window(cfg: &GpuConfig, i: usize, k: usize) -> PartitionWindow {
     let k32 = k as u32;
     let i32 = i as u32;
     let reg_slice = cfg.sm.max_registers / k32;
@@ -167,11 +175,7 @@ pub(crate) fn even_window(cfg: &GpuConfig, i: usize, k: usize) -> PartitionWindo
 /// Packed quota windows: kernel `i` gets a contiguous region sized for
 /// `quotas[i]` CTAs of its footprint, laid out back to back (Fig. 2d).
 #[must_use]
-pub(crate) fn quota_windows(
-    cfg: &GpuConfig,
-    descs: &[&KernelDesc],
-    quotas: &[u32],
-) -> Vec<PartitionWindow> {
+fn quota_windows(cfg: &GpuConfig, descs: &[&KernelDesc], quotas: &[u32]) -> Vec<PartitionWindow> {
     let mut reg_cursor = 0u32;
     let mut shm_cursor = 0u32;
     descs
@@ -199,43 +203,165 @@ pub(crate) fn quota_windows(
         .collect()
 }
 
-/// Fills every SM with CTAs, trying kernels in `order`, optionally
-/// restricted by `allowed(sm, kernel)`.
-pub(crate) fn sweep_launch(
-    gpu: &mut Gpu,
-    order: &[KernelId],
-    allowed: impl Fn(usize, KernelId) -> bool,
-) {
-    for sm in 0..gpu.num_sms() {
-        for &k in order {
-            if !allowed(sm, k) {
-                continue;
-            }
-            while gpu.try_launch(k, sm) {}
-        }
-    }
+/// Spatial group assignment: the kernel owning SM `sm` out of `k` kernels
+/// over `num_sms` SMs (contiguous equal groups).
+#[must_use]
+fn spatial_owner(sm: usize, num_sms: usize, k: usize) -> usize {
+    (sm * k / num_sms).min(k - 1)
 }
 
-/// The Left-Over policy: kernels are served strictly in arrival order.
-#[derive(Debug, Default)]
-pub struct LeftOverController {
-    tracker: ChangeTracker,
+/// How an SM's resources are divided among the kernels present when the
+/// slicing is installed (Fig. 2).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Slicing {
+    /// No windows: kernels are served strictly in arrival order, later
+    /// kernels getting the leftovers (Left-Over).
+    Shared,
+    /// Each kernel is confined to a `1/K` slice of every SM resource
+    /// (Fig. 2c).
+    Even,
+    /// Inter-SM slicing: each kernel is blocked from every SM outside its
+    /// own contiguous group.
+    Spatial,
+    /// Fixed intra-SM CTA quotas, `quotas[i]` CTAs of kernel slot `i` per
+    /// SM, packed back to back (Fig. 2d).
+    Quotas(Vec<u32>),
 }
 
-impl LeftOverController {
-    /// Creates the controller.
+impl Slicing {
+    /// The window table realising this slicing over the kernels now
+    /// registered on `gpu`.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub(crate) fn table(&self, gpu: &Gpu) -> WindowTable {
+        let cfg = gpu.config();
+        let (n, k) = (gpu.num_sms(), gpu.num_kernels());
+        let uniform = |row: Vec<PartitionWindow>| vec![row.into_iter().map(Some).collect(); n];
+        match self {
+            Self::Shared => WindowTable::new(),
+            Self::Even => uniform((0..k).map(|i| even_window(cfg, i, k)).collect()),
+            Self::Spatial => (0..n)
+                .map(|sm| {
+                    (0..k)
+                        .map(|i| (i != spatial_owner(sm, n, k)).then(blocked_window))
+                        .collect()
+                })
+                .collect(),
+            Self::Quotas(quotas) => {
+                let ids = gpu.kernel_ids();
+                let descs: Vec<&KernelDesc> = ids.iter().map(|&i| gpu.kernel_desc(i)).collect();
+                uniform(quota_windows(cfg, &descs, quotas))
+            }
+        }
     }
 }
 
-impl Controller for LeftOverController {
-    fn on_cycle(&mut self, gpu: &mut Gpu) {
-        if self.tracker.changed(gpu) {
-            let order = gpu.kernel_ids();
-            sweep_launch(gpu, &order, |_, _| true);
+/// The one slicing mechanism every window policy shares: the installed
+/// window table, its release once the first kernel halts (survivors may
+/// then use everything), and the launch sweep on every launch-relevant
+/// change.
+#[derive(Debug, Default)]
+pub(crate) struct Slicer {
+    tracker: ChangeTracker,
+    table: WindowTable,
+    released: bool,
+}
+
+impl Slicer {
+    /// Replaces the installed table with `table` and forces a sweep.
+    pub(crate) fn install(&mut self, gpu: &mut Gpu, table: WindowTable) {
+        self.clear(gpu);
+        for (sm, row) in table.iter().enumerate() {
+            for (k, w) in row.iter().enumerate() {
+                gpu.set_window(sm, KernelId(k), *w);
+            }
         }
+        self.table = table;
+    }
+
+    /// Whether the first kernel halt has released the table.
+    pub(crate) fn released(&self) -> bool {
+        self.released
+    }
+
+    /// Releases the table once any kernel has halted, then fills every SM
+    /// with CTAs in kernel order if anything launch-relevant changed. A
+    /// pair whose window admits no CTA costs no launch attempt. Returns
+    /// whether this call released the table.
+    pub(crate) fn enforce(&mut self, gpu: &mut Gpu) -> bool {
+        let release = !self.released && gpu.halted_kernels() > 0;
+        if release {
+            self.released = true;
+            self.clear(gpu);
+        }
+        if self.tracker.changed(gpu) {
+            let ids = gpu.kernel_ids();
+            for sm in 0..gpu.num_sms() {
+                for &k in &ids {
+                    if gpu.sm(sm).window(k.0).is_some_and(|w| w.max_ctas == 0) {
+                        continue;
+                    }
+                    while gpu.try_launch(k, sm) {}
+                }
+            }
+        }
+        release
+    }
+
+    /// Clears every window of the installed table and forces a sweep.
+    fn clear(&mut self, gpu: &mut Gpu) {
+        for (sm, row) in std::mem::take(&mut self.table).iter().enumerate() {
+            for k in 0..row.len() {
+                gpu.set_window(sm, KernelId(k), None);
+            }
+        }
+        self.tracker.invalidate();
+    }
+}
+
+/// A static slicing policy: installs its [`Slicing`]'s window table at the
+/// first cycle, over the kernels present then (a kernel arriving later
+/// stays unwindowed), and leaves the rest to the shared mechanism.
+#[derive(Debug)]
+pub struct SlicingController {
+    /// The slicing still to install (taken at the first cycle).
+    pending: Option<Slicing>,
+    slicer: Slicer,
+    decision: Option<Decision>,
+}
+
+impl SlicingController {
+    /// Creates the controller. A [`Slicing::Quotas`] controller reports its
+    /// quotas as its [`Decision`].
+    #[must_use]
+    pub fn new(slicing: Slicing) -> Self {
+        let decision = match &slicing {
+            Slicing::Quotas(q) => Some(Decision {
+                quotas: Some(q.clone()),
+                spatial_fallback: false,
+                predicted_perf: Vec::new(),
+                decided_at: 0,
+                measured_curves: Vec::new(),
+            }),
+            _ => None,
+        };
+        Self {
+            pending: Some(slicing),
+            slicer: Slicer::default(),
+            decision,
+        }
+    }
+}
+
+impl Controller for SlicingController {
+    fn on_cycle(&mut self, gpu: &mut Gpu) {
+        if let Some(slicing) = self.pending.take() {
+            self.slicer.install(gpu, slicing.table(gpu));
+        }
+        self.slicer.enforce(gpu);
+    }
+
+    fn decision(&self) -> Option<&Decision> {
+        self.decision.as_ref()
     }
 }
 
@@ -278,160 +404,6 @@ impl Controller for FcfsController {
     }
 }
 
-/// Even intra-SM partitioning: each kernel is confined to a `1/K` slice of
-/// every SM resource (Fig. 2c).
-#[derive(Debug, Default)]
-pub struct EvenController {
-    tracker: ChangeTracker,
-    configured: bool,
-    released: bool,
-}
-
-impl EvenController {
-    /// Creates the controller.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Controller for EvenController {
-    fn on_cycle(&mut self, gpu: &mut Gpu) {
-        let ids = gpu.kernel_ids();
-        if !self.configured {
-            self.configured = true;
-            let cfg = gpu.config().clone();
-            for sm in 0..gpu.num_sms() {
-                for (i, &k) in ids.iter().enumerate() {
-                    gpu.set_window(sm, k, Some(even_window(&cfg, i, ids.len())));
-                }
-            }
-            self.tracker.invalidate();
-        }
-        // Once any kernel finishes its work, survivors may use everything.
-        if !self.released && gpu.halted_kernels() > 0 {
-            self.released = true;
-            for sm in 0..gpu.num_sms() {
-                for &k in &ids {
-                    gpu.set_window(sm, k, None);
-                }
-            }
-            self.tracker.invalidate();
-        }
-        if self.tracker.changed(gpu) {
-            sweep_launch(gpu, &ids, |_, _| true);
-        }
-    }
-}
-
-/// Spatial multitasking: SMs are split into one group per kernel.
-#[derive(Debug, Default)]
-pub struct SpatialController {
-    tracker: ChangeTracker,
-}
-
-impl SpatialController {
-    /// Creates the controller.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Group assignment: kernel owning SM `sm` out of `k` kernels over
-    /// `num_sms` SMs (contiguous equal groups).
-    #[must_use]
-    pub fn owner_of(sm: usize, num_sms: usize, k: usize) -> usize {
-        (sm * k / num_sms).min(k - 1)
-    }
-}
-
-impl Controller for SpatialController {
-    fn on_cycle(&mut self, gpu: &mut Gpu) {
-        if !self.tracker.changed(gpu) {
-            return;
-        }
-        let ids = gpu.kernel_ids();
-        let k = ids.len();
-        let n = gpu.num_sms();
-        let all_alive = gpu.halted_kernels() == 0;
-        sweep_launch(gpu, &ids, |sm, kid| {
-            if all_alive {
-                Self::owner_of(sm, n, k) == kid.0
-            } else {
-                true // survivors expand over the whole GPU
-            }
-        });
-    }
-}
-
-/// Fixed CTA-quota intra-SM partitioning on every SM (Fig. 2d). This is
-/// both the Oracle search's building block and the mechanism the
-/// Warped-Slicer applies after its decision.
-#[derive(Debug)]
-pub struct QuotaController {
-    quotas: Vec<u32>,
-    tracker: ChangeTracker,
-    configured: bool,
-    released: bool,
-    decision: Decision,
-}
-
-impl QuotaController {
-    /// Creates a controller enforcing `quotas[i]` CTAs of kernel-slot `i`
-    /// per SM.
-    #[must_use]
-    pub fn new(quotas: Vec<u32>) -> Self {
-        Self {
-            decision: Decision {
-                quotas: Some(quotas.clone()),
-                spatial_fallback: false,
-                predicted_perf: Vec::new(),
-                decided_at: 0,
-                measured_curves: Vec::new(),
-            },
-            quotas,
-            tracker: ChangeTracker::default(),
-            configured: false,
-            released: false,
-        }
-    }
-}
-
-impl Controller for QuotaController {
-    fn on_cycle(&mut self, gpu: &mut Gpu) {
-        let ids = gpu.kernel_ids();
-        if !self.configured {
-            self.configured = true;
-            let cfg = gpu.config().clone();
-            let descs: Vec<KernelDesc> = ids.iter().map(|&k| gpu.kernel_desc(k).clone()).collect();
-            let desc_refs: Vec<&KernelDesc> = descs.iter().collect();
-            let windows = quota_windows(&cfg, &desc_refs, &self.quotas);
-            for sm in 0..gpu.num_sms() {
-                for (&k, w) in ids.iter().zip(&windows) {
-                    gpu.set_window(sm, k, Some(*w));
-                }
-            }
-            self.tracker.invalidate();
-        }
-        if !self.released && gpu.halted_kernels() > 0 {
-            self.released = true;
-            for sm in 0..gpu.num_sms() {
-                for &k in &ids {
-                    gpu.set_window(sm, k, None);
-                }
-            }
-            self.tracker.invalidate();
-        }
-        if self.tracker.changed(gpu) {
-            sweep_launch(gpu, &ids, |_, _| true);
-        }
-    }
-
-    fn decision(&self) -> Option<&Decision> {
-        Some(&self.decision)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,7 +421,7 @@ mod tests {
     #[test]
     fn left_over_starves_the_second_kernel() {
         let mut gpu = gpu_with(&["IMG", "NN"]);
-        let mut c = LeftOverController::new();
+        let mut c = SlicingController::new(Slicing::Shared);
         for _ in 0..2000 {
             c.on_cycle(&mut gpu);
             gpu.tick();
@@ -465,7 +437,7 @@ mod tests {
     #[test]
     fn even_splits_resources_in_half() {
         let mut gpu = gpu_with(&["IMG", "NN"]);
-        let mut c = EvenController::new();
+        let mut c = SlicingController::new(Slicing::Even);
         for _ in 0..3000 {
             c.on_cycle(&mut gpu);
             gpu.tick();
@@ -483,7 +455,7 @@ mod tests {
     #[test]
     fn spatial_separates_sm_groups() {
         let mut gpu = gpu_with(&["IMG", "NN"]);
-        let mut c = SpatialController::new();
+        let mut c = SlicingController::new(Slicing::Spatial);
         for _ in 0..1000 {
             c.on_cycle(&mut gpu);
             gpu.tick();
@@ -499,9 +471,32 @@ mod tests {
     }
 
     #[test]
+    fn spatial_table_is_built_once_and_released_on_halt() {
+        let mut gpu = gpu_with(&["IMG", "NN"]);
+        let mut c = SlicingController::new(Slicing::Spatial);
+        c.on_cycle(&mut gpu);
+        gpu.tick();
+        // A kernel arriving after the table was built stays unwindowed.
+        let late = gpu.add_kernel(by_abbrev("BLK").unwrap().desc);
+        c.on_cycle(&mut gpu);
+        for s in 0..16 {
+            let blocked = |k: usize| gpu.sm(s).window(k).is_some_and(|w| w.max_ctas == 0);
+            assert_eq!((blocked(0), blocked(1)), (s >= 8, s < 8), "SM {s}");
+            assert!(gpu.sm(s).window(late.0).is_none(), "SM {s}");
+        }
+        gpu.halt_kernel(KernelId(1));
+        c.on_cycle(&mut gpu);
+        assert!(
+            gpu.sms().all(|sm| (0..3).all(|k| sm.window(k).is_none())),
+            "the first halt clears the table"
+        );
+        assert!(gpu.sm(15).kernel_ctas(0) > 0, "the survivor expands");
+    }
+
+    #[test]
     fn quota_controller_enforces_quotas() {
         let mut gpu = gpu_with(&["IMG", "NN"]);
-        let mut c = QuotaController::new(vec![5, 3]);
+        let mut c = SlicingController::new(Slicing::Quotas(vec![5, 3]));
         for _ in 0..3000 {
             c.on_cycle(&mut gpu);
             gpu.tick();
@@ -519,7 +514,7 @@ mod tests {
     #[test]
     fn quota_release_on_halt_lets_survivor_expand() {
         let mut gpu = gpu_with(&["IMG", "NN"]);
-        let mut c = QuotaController::new(vec![4, 4]);
+        let mut c = SlicingController::new(Slicing::Quotas(vec![4, 4]));
         for _ in 0..500 {
             c.on_cycle(&mut gpu);
             gpu.tick();
@@ -546,15 +541,11 @@ mod tests {
     }
 
     #[test]
-    fn owner_of_partitions_evenly() {
-        let owners: Vec<usize> = (0..16)
-            .map(|s| SpatialController::owner_of(s, 16, 2))
-            .collect();
+    fn spatial_owner_partitions_evenly() {
+        let owners: Vec<usize> = (0..16).map(|s| spatial_owner(s, 16, 2)).collect();
         assert_eq!(owners.iter().filter(|&&o| o == 0).count(), 8);
         assert_eq!(owners.iter().filter(|&&o| o == 1).count(), 8);
-        let owners3: Vec<usize> = (0..16)
-            .map(|s| SpatialController::owner_of(s, 16, 3))
-            .collect();
+        let owners3: Vec<usize> = (0..16).map(|s| spatial_owner(s, 16, 3)).collect();
         for k in 0..3 {
             let n = owners3.iter().filter(|&&o| o == k).count();
             assert!(n >= 5, "group {k} too small: {owners3:?}");

@@ -6,15 +6,15 @@
 //! fall back to spatial multitasking when the predicted loss exceeds
 //! `1/K × 120 %`) → *run* (fixed CTA quotas per SM, Fig. 2d/2e), with an
 //! optional phase monitor that re-triggers sampling on sustained IPC shifts.
+//! The profiling plan, the quota decision and the spatial fallback are
+//! window tables of the shared `Slicer`, which also releases them on the
+//! first kernel halt and sweeps launches against them.
 
 use gpu_sim::{Gpu, KernelDesc};
 
 use crate::audit::{AuditEvent, DecisionAudit};
 use crate::phase::PhaseMonitor;
-use crate::policy::{
-    blocked_window, quota_windows, sweep_launch, ChangeTracker, Controller, Decision,
-    SpatialController,
-};
+use crate::policy::{blocked_window, Controller, Decision, Slicer, Slicing, WindowTable};
 use crate::profiler::{
     build_curves_audited, BandwidthSample, ProfilePlan, ProfileSample, ProfileTiming,
 };
@@ -118,12 +118,10 @@ struct SmSnap {
 pub struct WarpedSlicerController {
     cfg: WarpedSlicerConfig,
     phase: Phase,
-    tracker: ChangeTracker,
+    slicer: Slicer,
     plan: Option<ProfilePlan>,
     snapshots: Vec<SmSnap>,
     decision: Option<Decision>,
-    spatial_mode: bool,
-    released: bool,
     monitors: Vec<PhaseMonitor>,
     last_kernel_insts: Vec<u64>,
     last_phase_check: u64,
@@ -144,12 +142,10 @@ impl WarpedSlicerController {
         Self {
             cfg,
             phase: Phase::Init,
-            tracker: ChangeTracker::default(),
+            slicer: Slicer::default(),
             plan: None,
             snapshots: Vec::new(),
             decision: None,
-            spatial_mode: false,
-            released: false,
             monitors: Vec::new(),
             last_kernel_insts: Vec::new(),
             last_phase_check: 0,
@@ -292,27 +288,23 @@ impl WarpedSlicerController {
             &mut self.audit,
         );
         let plan = ProfilePlan::build_windowed(gpu.num_sms(), &sweep.windows);
+        // Each SM runs its assigned kernel alone, capped at the planned
+        // CTA count.
+        let sm = &gpu.config().sm;
+        let mut table: WindowTable = vec![vec![Some(blocked_window()); ids.len()]; gpu.num_sms()];
         for a in &plan.assignments {
-            for &k in &ids {
-                let w = if k.0 == a.kernel {
-                    let cfg = gpu.config();
-                    gpu_sim::PartitionWindow {
-                        regs: gpu_sim::Region::whole(cfg.sm.max_registers),
-                        shmem: gpu_sim::Region::whole(cfg.sm.shared_mem_bytes),
-                        max_ctas: a.quota,
-                        max_threads: cfg.sm.max_threads,
-                    }
-                } else {
-                    blocked_window()
-                };
-                gpu.set_window(a.sm, k, Some(w));
-            }
+            table[a.sm][a.kernel] = Some(gpu_sim::PartitionWindow {
+                regs: gpu_sim::Region::whole(sm.max_registers),
+                shmem: gpu_sim::Region::whole(sm.shared_mem_bytes),
+                max_ctas: a.quota,
+                max_threads: sm.max_threads,
+            });
         }
+        self.slicer.install(gpu, table);
         self.plan = Some(plan);
         self.phase = Phase::Warmup {
             until: now + self.cfg.timing.warmup,
         };
-        self.tracker.invalidate();
     }
 
     fn take_snapshots(&mut self, gpu: &Gpu) {
@@ -461,35 +453,19 @@ impl WarpedSlicerController {
 
     fn apply_decision(&mut self, gpu: &mut Gpu) {
         let ids = gpu.kernel_ids();
-        // Clear the profiling windows.
-        for sm in 0..gpu.num_sms() {
-            for &k in &ids {
-                gpu.set_window(sm, k, None);
-            }
-        }
         // Phase-machine invariant: Applying follows Deciding, which stored
         // the decision. xtask-allow: no-unwrap
         let decision = self.decision.as_ref().expect("apply requires a decision");
-        if let Some(quotas) = decision.quotas.clone() {
-            let cfg = gpu.config().clone();
-            let descs: Vec<KernelDesc> = ids.iter().map(|&k| gpu.kernel_desc(k).clone()).collect();
-            let refs: Vec<&KernelDesc> = descs.iter().collect();
-            let windows = quota_windows(&cfg, &refs, &quotas);
-            for sm in 0..gpu.num_sms() {
-                for (&k, w) in ids.iter().zip(&windows) {
-                    gpu.set_window(sm, k, Some(*w));
-                }
-            }
-            self.spatial_mode = false;
-        } else {
-            self.spatial_mode = true;
-        }
+        let slicing = decision
+            .quotas
+            .clone()
+            .map_or(Slicing::Spatial, Slicing::Quotas);
+        self.slicer.install(gpu, slicing.table(gpu));
         self.phase = Phase::Run;
         self.last_phase_check = gpu.cycle();
         self.phase_armed_at = gpu.cycle() + PHASE_SETTLE_WINDOWS * PHASE_WINDOW;
         self.last_kernel_insts = ids.iter().map(|&k| gpu.kernel_insts(k)).collect();
         self.monitors = ids.iter().map(|_| PhaseMonitor::paper_default()).collect();
-        self.tracker.invalidate();
     }
 
     fn run_phase_monitor(&mut self, gpu: &mut Gpu) {
@@ -551,7 +527,7 @@ impl Controller for WarpedSlicerController {
         if self.known_kernels != nk {
             let first = self.known_kernels == 0;
             self.known_kernels = nk;
-            if !first && !self.released {
+            if !first && !self.slicer.released() {
                 self.reprofiles += 1;
                 self.enter_profile(gpu);
             }
@@ -566,38 +542,14 @@ impl Controller for WarpedSlicerController {
             }
             Phase::Sampling { until } if now >= until => self.decide(gpu),
             Phase::Deciding { until } if now >= until => self.apply_decision(gpu),
-            Phase::Run if self.cfg.enable_phase_monitor && !self.released => {
+            Phase::Run if self.cfg.enable_phase_monitor && !self.slicer.released() => {
                 self.run_phase_monitor(gpu);
             }
             _ => {}
         }
-
-        // Endgame: once any kernel halts, survivors get everything.
-        if !self.released && gpu.halted_kernels() > 0 {
-            self.released = true;
-            self.spatial_mode = false;
-            let ids = gpu.kernel_ids();
-            for sm in 0..gpu.num_sms() {
-                for &k in &ids {
-                    gpu.set_window(sm, k, None);
-                }
-            }
+        // Once the first kernel halts the slicing is released for good.
+        if self.slicer.enforce(gpu) {
             self.phase = Phase::Run;
-            self.tracker.invalidate();
-        }
-
-        if self.tracker.changed(gpu) {
-            let ids = gpu.kernel_ids();
-            let n = gpu.num_sms();
-            let k = ids.len();
-            let spatial = self.spatial_mode && !self.released;
-            sweep_launch(gpu, &ids, |sm, kid| {
-                if spatial {
-                    SpatialController::owner_of(sm, n, k) == kid.0
-                } else {
-                    true
-                }
-            });
         }
     }
 
@@ -617,7 +569,7 @@ impl Controller for WarpedSlicerController {
             Phase::Warmup { until } | Phase::Sampling { until } | Phase::Deciding { until } => {
                 Some(until)
             }
-            Phase::Run if self.cfg.enable_phase_monitor && !self.released => {
+            Phase::Run if self.cfg.enable_phase_monitor && !self.slicer.released() => {
                 Some(self.last_phase_check + PHASE_WINDOW)
             }
             Phase::Run => None,

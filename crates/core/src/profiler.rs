@@ -193,7 +193,7 @@ pub struct ProfileSample {
     pub phi_mem: f64,
     /// Measured bandwidth evidence. When present, the correction factor is
     /// computed from the SM's actual DRAM share
-    /// ([`bandwidth_scale_factor`]); when absent, the paper's CTA-count
+    /// ([`bandwidth_scale_factor_audited`]); when absent, the paper's CTA-count
     /// approximation ([`psi`]) is used.
     pub bandwidth: Option<BandwidthSample>,
 }

@@ -11,6 +11,9 @@
 //! A second digest pins the decision audit of traced Warped-Slicer
 //! co-runs over the same pairs: the predicted curves, profiling windows,
 //! scaled samples, water-filling steps and fallback verdicts, in order.
+//! A third digest covers the co-run paths the first leaves out: FCFS
+//! interleaving, a fixed two-kernel CTA quota, and a Warped-Slicer whose
+//! near-zero loss tolerance forces the spatial fallback.
 
 use warped_slicer::policy::{PolicyKind, WarpedSlicerConfig};
 use warped_slicer::{execute, RunConfig, SimJob, SimOutcome, TraceOptions};
@@ -25,6 +28,10 @@ const GOLDEN: u64 = 0xa5fc_aa7e_a0e7_10c1;
 /// Digest of the Warped-Slicer decision audits, recorded while the
 /// controller still had its own copy of the prediction-to-window mapping.
 const AUDIT_GOLDEN: u64 = 0x4886_13c0_9839_333e;
+
+/// Digest of the FCFS, `Quota[5, 3]` and forced-fallback co-run outcomes,
+/// recorded while each slicing policy still had its own controller.
+const UNCOVERED_GOLDEN: u64 = 0x5997_7e33_7feb_837b;
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -45,6 +52,19 @@ fn run_config() -> RunConfig {
 
 fn warped_slicer() -> PolicyKind {
     PolicyKind::WarpedSlicer(WarpedSlicerConfig::scaled_for(ISOLATION_CYCLES))
+}
+
+/// Digests every co-run outcome.
+fn corun_digest(runs: &[(SimJob, SimOutcome)]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for (job, outcome) in runs {
+        assert!(!outcome.timed_out, "{} under {}", job.label(), job.policy);
+        fnv1a(
+            &mut hash,
+            format!("{} {}: {outcome:?}\n", job.label(), job.policy).as_bytes(),
+        );
+    }
+    hash
 }
 
 /// Measures every tenth Fig. 6 pair's isolation targets, then co-runs the
@@ -79,17 +99,31 @@ fn corun_digest_over_every_policy_is_pinned() {
         PolicyKind::Even,
         warped_slicer(),
     ];
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for (job, outcome) in coruns(&run_config(), &policies) {
-        assert!(!outcome.timed_out, "{} under {}", job.label(), job.policy);
-        fnv1a(
-            &mut hash,
-            format!("{} {}: {outcome:?}\n", job.label(), job.policy).as_bytes(),
-        );
-    }
+    let hash = corun_digest(&coruns(&run_config(), &policies));
     assert_eq!(
         hash, GOLDEN,
         "co-run digest moved ({hash:#x}): a simulator change altered co-run outcomes"
+    );
+}
+
+#[test]
+fn fcfs_quota_and_fallback_digest_is_pinned() {
+    let fallback = PolicyKind::WarpedSlicer(WarpedSlicerConfig {
+        loss_threshold: Some(0.001),
+        ..WarpedSlicerConfig::scaled_for(ISOLATION_CYCLES)
+    });
+    let runs = coruns(
+        &run_config(),
+        &[PolicyKind::Fcfs, PolicyKind::Quota(vec![5, 3]), fallback],
+    );
+    for (job, outcome) in runs.iter().skip(2).step_by(3) {
+        let decision = outcome.decision.as_ref().expect("a decision");
+        assert!(decision.spatial_fallback, "{} must fall back", job.label());
+    }
+    let hash = corun_digest(&runs);
+    assert_eq!(
+        hash, UNCOVERED_GOLDEN,
+        "FCFS/quota/fallback digest moved ({hash:#x}): a co-run path changed its outcomes"
     );
 }
 
